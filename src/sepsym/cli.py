@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success or a verified property, 1 on a verification
 failure (non-separating set, golden/table mismatch), 2 on usage or
-parameter errors.
+parameter errors, 3 when reading or writing a file fails. When the reader
+of standard output closes it early (``sepsym orbits ... | head``) the
+command stops without a message and exits 141, the status a shell reports
+for a process stopped by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ MAX_TABLE_Q = 10 ** 6
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_IO = 3
+EXIT_PIPE_CLOSED = 128 + 13  # 128 + SIGPIPE, as a shell reports it
 
 
 # ---------------------------------------------------------------- output --
@@ -413,25 +418,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout():
+    """Point the stdout descriptor at the null device.
+
+    The interpreter flushes sys.stdout at exit; into a closed pipe that
+    flush would fail again and print a traceback.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    stream = sys.stdout
-    opened = None
+    out = getattr(args, "out", None)
     try:
-        if getattr(args, "out", None):
-            opened = open(args.out, "w", encoding="utf-8")
-            stream = opened
-        return args.func(args, stream)
+        if out:
+            with open(out, "w", encoding="utf-8") as stream:
+                return args.func(args, stream)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except (ParameterError, ScaleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if opened is not None:
-            opened.close()
+    except BrokenPipeError:
+        if not out:
+            _silence_stdout()
+        return EXIT_PIPE_CLOSED
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

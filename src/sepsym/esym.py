@@ -1,18 +1,52 @@
 """Elementary symmetric evaluations and the power-scaled index sets.
 
 esym_all reads the values s_1(v), ..., s_n(v) off the coefficients of the
-product prod_i (1 + v_i z), built by an in-place convolution. That costs
-O(n^2) field multiplications and no divisions, so it is exact in every
-characteristic (Newton-style recurrences would divide by small integers
-that vanish mod p).
+product prod_i (1 + v_i z), built one factor at a time by
+convolution_step. That costs O(n^2) field multiplications and no divisions,
+so it is exact in every characteristic (Newton-style recurrences would
+divide by small integers that vanish mod p). The orbit walk in
+sepsym.separating takes the same step, one factor per changed entry.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from sepsym.errors import ParameterError
 from sepsym.gf import FieldSpec, is_prime
+
+
+def convolution_step(spec: FieldSpec) -> Callable[[tuple[int, ...], int], tuple[int, ...]]:
+    """The convolution step over spec: multiply a product by one more factor.
+
+    The returned step(values, x) takes the values (s_1, ..., s_m) of a
+    product P(z) = 1 + s_1 z + ... + s_m z^m of m nonzero factors (1 + v_i z)
+    and a nonzero element x, and returns the m + 1 values of P(z) * (1 + x z):
+    s'_j = s_j + x s_{j-1}, with s_0 = 1 and s_{m+1} = 0. One step costs O(m)
+    field operations.
+    """
+    add_t = spec.add_table
+    if add_t is not None:
+        mul_t = spec.mul_table
+
+        def step(values, x):
+            if not values:
+                return (x,)
+            mx = mul_t[x]
+            return (add_t[values[0]][x],
+                    *[add_t[a][mx[b]] for a, b in zip(values[1:], values)],
+                    mx[values[-1]])
+    else:
+        add = spec.add
+        mul = spec.mul
+
+        def step(values, x):
+            if not values:
+                return (x,)
+            return (add(values[0], x),
+                    *[add(a, mul(x, b)) for a, b in zip(values[1:], values)],
+                    mul(x, values[-1]))
+    return step
 
 
 def esym_all(v: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
@@ -22,35 +56,26 @@ def esym_all(v: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
     for x in v:
         if not 0 <= x < q:
             raise ParameterError(f"element index {x} outside [0, {q})")
-    out = [0] * (n + 1)
-    out[0] = 1
-    add_t = spec.add_table
-    mul_t = spec.mul_table
-    if add_t is not None:
-        for i in range(n):
-            x = v[i]
-            if x:
-                mx = mul_t[x]
-                for j in range(i + 1, 0, -1):
-                    out[j] = add_t[out[j]][mx[out[j - 1]]]
-    else:
-        add = spec.add
-        mul = spec.mul
-        for i in range(n):
-            x = v[i]
-            if x:
-                for j in range(i + 1, 0, -1):
-                    out[j] = add(out[j], mul(x, out[j - 1]))
-    return tuple(out[1:])
+    step = convolution_step(spec)
+    values = ()
+    for x in v:
+        if x:
+            values = step(values, x)
+    return values + (0,) * (n - len(values))
+
+
+def normalize_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
+    """The distinct indices in ascending order, each checked to lie in [1, n]."""
+    idx = tuple(sorted(set(indices)))
+    for t in idx:
+        if not 1 <= t <= n:
+            raise ParameterError(f"index {t} outside [1, {n}]")
+    return idx
 
 
 def fingerprint(v: Sequence[int], indices: Iterable[int], spec: FieldSpec) -> tuple[int, ...]:
     """Evaluations (s_t(v) for t in indices), in ascending index order."""
-    n = len(v)
-    idx = sorted(set(indices))
-    for t in idx:
-        if not 1 <= t <= n:
-            raise ParameterError(f"index {t} outside [1, {n}]")
+    idx = normalize_indices(indices, len(v))
     values = esym_all(v, spec)
     return tuple(values[t - 1] for t in idx)
 

@@ -4,16 +4,32 @@ A set of indices T separates when the fingerprint map, sending an orbit
 representative to its tuple of s_t values, is injective over all orbits.
 Everything here is exhaustive: verdicts come from scanning every orbit, not
 from any closed-form shortcut.
+
+All verdicts read one walk, orbit_rows. It visits the orbit representatives
+in lexicographic order, as a depth-first walk of the tree of their prefixes
+(combinations with repetition; Knuth, TAOCP 4A, 7.2.1.3), and keeps the
+values of prod (1 + v_i z) for every prefix on the current path. A
+representative shares all but its last run of equal entries with the one
+before it, so its value vector costs one O(n) convolution step per entry of
+that run instead of an O(n^2) rebuild.
+
+check_separating streams the walk: it holds only its dict of distinct
+fingerprints. check_minimal and min_separating_size walk once per call and
+hold one value tuple per orbit until they return; every index set they try
+is a projection of those rows, scanned only up to its first collision.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from sepsym.errors import ParameterError, ScaleError
-from sepsym.esym import esym_all
+# esym_all is not called here, but stays importable from this module: the
+# benchmark's layer tracer patches names where they are looked up.
+from sepsym.esym import convolution_step, esym_all, normalize_indices  # noqa: F401
 from sepsym.exactcount import gamma
 from sepsym.gf import FieldSpec
 from sepsym.orbits import DEFAULT_ORBIT_BOUND, enumerate_orbits
@@ -29,12 +45,49 @@ class SeparationVerdict:
     fingerprint_count: int
 
 
-def _normalize_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
-    idx = tuple(sorted(set(indices)))
-    for t in idx:
-        if not 1 <= t <= n:
-            raise ParameterError(f"index {t} outside [1, {n}]")
-    return idx
+def orbit_rows(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUND
+               ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Stream (rep, (s_1(rep), ..., s_n(rep))) for every orbit, in lexicographic order.
+
+    The representatives and their order are those of enumerate_orbits, which
+    also enforces the orbit bound.
+    """
+    step = convolution_step(spec)
+    pads = [(0,) * k for k in range(n + 1)]
+    # prefix[d]: the values of the product over rep[:d]; zeros leave it unchanged
+    prefix = [()] * (n + 1)
+    for rep in enumerate_orbits(spec, n, bound=bound):
+        # rep agrees with its predecessor up to its first copy of rep[-1]
+        d = rep.index(rep[-1])
+        values = prefix[d]
+        for d in range(d, n):
+            x = rep[d]
+            if x:
+                values = step(values, x)
+            prefix[d + 1] = values
+        yield rep, values + pads[n - len(values)]
+
+
+def _projector(idx: tuple[int, ...]):
+    """Map a value vector to its fingerprint on the sorted index set idx."""
+    if not idx:
+        return lambda values: ()
+    return itemgetter(*[t - 1 for t in idx])
+
+
+def _first_collision(rows: list, project):
+    """The first two rows with equal fingerprints under project, or None if there are none."""
+    seen = {}
+    for i, fp in enumerate(map(project, rows)):
+        j = seen.setdefault(fp, i)
+        if j != i:
+            return rows[j], rows[i]
+    return None
+
+
+def _value_rows(spec: FieldSpec, n: int, bound: int) -> list:
+    """The value vectors of orbit_rows, without their representatives."""
+    return [values for _, values in orbit_rows(spec, n, bound)]
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int],
@@ -45,18 +98,13 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int],
     met while scanning representatives in lexicographic order: the earliest
     representative carrying the same fingerprint, paired with the current one.
     """
-    idx = _normalize_indices(indices, n)
-    offsets = [t - 1 for t in idx]
+    project = _projector(normalize_indices(indices, n))
     seen: dict = {}
     witness = None
     total = 0
-    for rep in enumerate_orbits(spec, n, bound=bound):
-        values = esym_all(rep, spec)
-        fp = tuple(values[o] for o in offsets)
-        prev = seen.get(fp)
-        if prev is None:
-            seen[fp] = rep
-        elif witness is None:
+    for rep, values in orbit_rows(spec, n, bound):
+        prev = seen.setdefault(project(values), rep)
+        if prev is not rep and witness is None:
             witness = (prev, rep)
         total += 1
     distinct = len(seen)
@@ -71,12 +119,12 @@ def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int],
     Requires a separating input set; each index whose removal leaves the set
     separating is reported as redundant.
     """
-    idx = _normalize_indices(indices, n)
-    if not check_separating(spec, n, idx, bound=bound).separating:
+    idx = normalize_indices(indices, n)
+    rows = _value_rows(spec, n, bound)
+    if _first_collision(rows, _projector(idx)) is not None:
         raise ParameterError("minimality is defined only for separating sets")
     redundant = [t for t in idx
-                 if check_separating(spec, n, tuple(u for u in idx if u != t),
-                                     bound=bound).separating]
+                 if _first_collision(rows, _projector(tuple(u for u in idx if u != t))) is None]
     return (not redundant, redundant)
 
 
@@ -93,8 +141,17 @@ def min_separating_size(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUN
         raise ParameterError(f"n must be >= 1, got {n}")
     if n > max_n:
         raise ScaleError(f"subset search over {{1..{n}}} exceeds the bound n <= {max_n}")
+    rows = _value_rows(spec, n, bound)
+    # Pairs of rows that collided on an earlier candidate: a candidate on
+    # which one of them agrees cannot separate.
+    colliding = []
     for k in range(gamma(spec.q, n), n + 1):
         for T in itertools.combinations(range(1, n + 1), k):
-            if check_separating(spec, n, T, bound=bound).separating:
+            project = _projector(T)
+            if any(project(u) == project(w) for u, w in colliding):
+                continue
+            pair = _first_collision(rows, project)
+            if pair is None:
                 return k, T
+            colliding.append(pair)
     raise RuntimeError("no separating subset found, though the full set always separates")

@@ -1,6 +1,9 @@
 """Shared constants and independent oracles for the test suite."""
 
 import itertools
+import math
+
+from sepsym.esym import esym_all
 
 # q -> largest n for brute-force orbit work; each cell stays well under a
 # second on commodity hardware.
@@ -23,6 +26,47 @@ def brute_esym(v, spec):
             acc = spec.add(acc, term)
         out.append(acc)
     return tuple(out)
+
+
+def naive_check(spec, n, T):
+    """(separates, witness, orbit_count, fingerprint_count) by one fresh scan for T.
+
+    Every orbit is rebuilt from scratch and its value vector recomputed; the
+    witness is the first repeated fingerprint in lexicographic order.
+    """
+    idx = sorted(set(T))
+    seen = {}
+    witness = None
+    total = 0
+    for rep in itertools.combinations_with_replacement(range(spec.q), n):
+        values = esym_all(rep, spec)
+        fp = tuple(values[t - 1] for t in idx)
+        if fp in seen:
+            witness = witness or (seen[fp], rep)
+        else:
+            seen[fp] = rep
+        total += 1
+    return len(seen) == total, witness, total, len(seen)
+
+
+def naive_min_size(spec, n):
+    """Smallest separating subset, trying every subset from size gamma up, in order.
+
+    No smaller set can separate: q**k fingerprints cannot tell apart more
+    than q**k orbits.
+    """
+    orbits = math.comb(n + spec.q - 1, n)
+    k0 = next(k for k in range(n + 1) if spec.q ** k >= orbits)
+    for k in range(k0, n + 1):
+        for T in itertools.combinations(range(1, n + 1), k):
+            if naive_check(spec, n, T)[0]:
+                return k, T
+
+
+def naive_redundant(spec, n, T):
+    """The indices of T whose removal leaves a separating set."""
+    idx = sorted(set(T))
+    return [t for t in idx if naive_check(spec, n, [u for u in idx if u != t])[0]]
 
 
 def pfree_part(t, p):

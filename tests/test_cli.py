@@ -215,3 +215,28 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "2,2,3,2,2,2,0" in proc.stdout
+
+
+def test_closed_pipe_exits_quietly():
+    # 54,264 rows overflow the pipe buffer, so the write after close must fail
+    proc = subprocess.Popen([sys.executable, "-m", "sepsym", "orbits",
+                             "--q", "16", "--n", "6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"# sepsym-table v1\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE_CLOSED == 141
+    assert stderr == b""
+
+
+def test_unwritable_out_path(tmp_path):
+    target = tmp_path / "missing" / "dir" / "x.csv"
+    proc = subprocess.run([sys.executable, "-m", "sepsym", "gamma",
+                           "--q", "3", "--n", "5", "--out", str(target)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_IO == 3
+    assert proc.stderr.startswith("error: ")
+    assert str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -2,12 +2,38 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsym import gf
 from sepsym.errors import ParameterError, ScaleError
-from sepsym.esym import index_set_nq
+from sepsym.esym import esym_all, index_set_nq
 from sepsym.exactcount import gamma, orbit_count
-from sepsym.separating import check_minimal, check_separating, min_separating_size
+from sepsym.orbits import enumerate_orbits
+from sepsym.separating import (
+    check_minimal,
+    check_separating,
+    min_separating_size,
+    orbit_rows,
+)
+from support import GRID_CELLS, naive_check, naive_min_size, naive_redundant
+
+TABLE_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256)
+
+# Table fields at every n with at most 2000 orbits; F_2 with long vectors;
+# fields above 256, whose arithmetic is polynomial, at n <= 2.
+WALK_CELLS = st.one_of(
+    st.sampled_from([(q, n) for q in TABLE_ORDERS for n in range(1, 12)
+                     if orbit_count(q, n) <= 2000]),
+    st.tuples(st.just(2), st.integers(1, 200)),
+    st.sampled_from([(257, 1), (257, 2), (289, 1), (289, 2), (343, 1), (512, 1),
+                     (729, 1), (1024, 1)]),
+)
+
+# The minsep cells of the benchmark's search workload and the brute-force grid
+# up to n = 8.
+ORACLE_CELLS = sorted({(4, 8), (7, 6), (9, 5), (16, 4), (3, 10), (11, 5), (7, 5), (8, 5), (8, 6)}
+                      | {(q, n) for q, n in GRID_CELLS if n <= 8})
 
 
 def test_full_pair_separates_q2_n3():
@@ -137,3 +163,29 @@ def test_exhaustive_small_subsets_q2_n4():
                 separating.append(T)
     assert separating == [(1, 2, 4), (1, 2, 3, 4)]
     assert min_separating_size(F2, 4) == (3, (1, 2, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(WALK_CELLS)
+def test_orbit_rows_match_esym_all(cell):
+    q, n = cell
+    spec = gf.field_for_order(q)
+    want = [(rep, esym_all(rep, spec)) for rep in enumerate_orbits(spec, n)]
+    assert list(orbit_rows(spec, n)) == want
+
+
+@pytest.mark.parametrize("q,n", ORACLE_CELLS)
+def test_verdicts_match_naive_oracle(q, n):
+    spec = gf.field_for_order(q)
+    size, T = min_separating_size(spec, n)
+    assert (size, T) == naive_min_size(spec, n)
+    sq = index_set_nq(n, q, spec.p)
+    for idx in (T[:-1], sq, range(1, n + 1)):
+        v = check_separating(spec, n, idx)
+        assert (v.separating, v.witness, v.orbit_count, v.fingerprint_count) == \
+            naive_check(spec, n, idx)
+    # a separating set of least size has no redundant index
+    assert check_minimal(spec, n, T) == (True, [])
+    if naive_check(spec, n, sq)[0]:
+        redundant = naive_redundant(spec, n, sq)
+        assert check_minimal(spec, n, sq) == (not redundant, redundant)
