@@ -11,7 +11,7 @@ from sepsym.esym import esym_all, fingerprint, index_set_nq
 from sepsym.exactcount import delta3, gamma, orbit_count, size_sq
 from sepsym.f3 import F3Class, classify3, predicted_delta3
 from sepsym.gf import FieldSpec, field_for_order, make_field
-from sepsym.orbits import canonicalize, enumerate_orbits
+from sepsym.orbits import enumerate_orbits
 from sepsym.separating import (
     SeparationVerdict,
     check_minimal,
@@ -28,7 +28,6 @@ __all__ = [
     "ParameterError",
     "ScaleError",
     "SeparationVerdict",
-    "canonicalize",
     "check_minimal",
     "check_separating",
     "chi_exact",

@@ -120,11 +120,6 @@ def lnln_floor(q: int) -> int:
     return math.floor(v)
 
 
-def lnln_bound_check(q: int) -> bool:
-    """True iff chi_exact(q) >= floor(ln(ln q))."""
-    return chi_exact(q) >= lnln_floor(q)
-
-
 def chi_record(q: int, tol: float = DEFAULT_TOL) -> ChiRecord:
     """The full per-q record: exact chi, root bracket, and lower bound."""
     _check_tol(tol)

@@ -14,11 +14,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from sepsym import chi, esym, exactcount, f3, gf, separating
-from sepsym.errors import ParameterError, ScaleError
+from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 from sepsym.orbits import DEFAULT_ORBIT_BOUND, enumerate_orbits
 
 SCHEMA_TAG = "# sepsym-table v1"
@@ -96,35 +95,11 @@ def _golden_chi(q: int, ranges) -> int | None:
 
 # ------------------------------------------------------------- plumbing --
 
-def _resolve_jobs(args) -> int:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        env = os.environ.get("SEPSYM_JOBS")
-        if env is None:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ParameterError(f"SEPSYM_JOBS must be an integer, got {env!r}")
-    if jobs < 1:
-        raise ParameterError(f"worker count must be >= 1, got {jobs}")
-    return jobs
-
-
 def _parse_index_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ParameterError(f"could not parse index list {text!r}")
-
-
-def _chi_values(q_min: int, q_max: int, jobs: int) -> list[int]:
-    qs = range(q_min, q_max + 1)
-    if jobs > 1:
-        chunk = max(1, len(qs) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(chi.chi_exact, qs, chunksize=chunk))
-    return [chi.chi_exact(q) for q in qs]
 
 
 def _chi_row(rec: chi.ChiRecord) -> dict:
@@ -168,6 +143,8 @@ def _cmd_gamma(args, stream) -> int:
 
 
 def _cmd_chi(args, stream) -> int:
+    if args.q > MAX_TABLE_Q:
+        raise ParameterError(f"q above the supported cap {MAX_TABLE_Q}")
     rec = chi.chi_record(args.q)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
     writer.row(_chi_row(rec))
@@ -180,7 +157,8 @@ def _cmd_chi_table(args, stream) -> int:
         raise ParameterError(f"require 2 <= q-min <= q-max, got [{q_min}, {q_max}]")
     if q_max > MAX_TABLE_Q:
         raise ParameterError(f"q-max above the supported cap {MAX_TABLE_Q}")
-    jobs = _resolve_jobs(args)
+    if args.jobs < 1:
+        raise ParameterError(f"worker count must be >= 1, got {args.jobs}")
     if args.verify_golden:
         ranges = _load_golden_ranges()
         lo_cov = min(r[0] for r in ranges)
@@ -189,10 +167,9 @@ def _cmd_chi_table(args, stream) -> int:
             raise ParameterError(
                 f"the golden table covers q in [{lo_cov}, {hi_cov}]; "
                 f"requested [{q_min}, {q_max}]")
-        values = _chi_values(q_min, q_max, jobs)
         mismatches = []
-        for q, actual in zip(range(q_min, q_max + 1), values):
-            expected = _golden_chi(q, ranges)
+        for q in range(q_min, q_max + 1):
+            expected, actual = _golden_chi(q, ranges), chi.chi_exact(q)
             if actual != expected:
                 mismatches.append((q, expected, actual))
         if mismatches:
@@ -209,7 +186,7 @@ def _cmd_chi_table(args, stream) -> int:
             print(json.dumps({"verified": True, "q_min": q_min, "q_max": q_max,
                               "count": count}), file=stream)
         return EXIT_OK
-    records = chi.chi_table(q_min, q_max, jobs=jobs)
+    records = chi.chi_table(q_min, q_max, jobs=args.jobs)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
     for rec in records:
         writer.row(_chi_row(rec))
@@ -227,12 +204,13 @@ def _cmd_delta3(args, stream) -> int:
     for n in range(n_min, n_max + 1):
         exact = exactcount.delta3(n)
         predicted = f3.predicted_delta3(n)
-        kind = f3.classify3(n).kind if n >= 9 else "-"
         counts[exact] = counts.get(exact, 0) + 1
-        record = {"n": n, "delta_exact": exact, "delta_predicted": predicted, "kind": kind}
+        if args.verify and exact == predicted:
+            continue
+        record = {"n": n, "delta_exact": exact, "delta_predicted": predicted,
+                  "kind": f3.classify3(n).kind if n >= 9 else "-"}
         if args.verify:
-            if exact != predicted:
-                mismatches.append(record)
+            mismatches.append(record)
         else:
             writer.row(record)
     summary = {"delta0": counts.get(0, 0), "delta1": counts.get(1, 0)}
@@ -303,10 +281,11 @@ def _cmd_minsep(args, stream) -> int:
     size, witness = separating.min_separating_size(field, n, bound=args.orbit_bound)
     g = exactcount.gamma(field.q, n)
     sq = esym.index_set_nq(n, field.q, field.p)
-    sq_redundant = None
-    if separating.check_separating(field, n, sq, bound=args.orbit_bound).separating:
+    try:
         _, redundant = separating.check_minimal(field, n, sq, bound=args.orbit_bound)
         sq_redundant = _join(redundant)
+    except NotSeparatingError:
+        sq_redundant = None
     writer = TableWriter(stream, args.format,
                          ("q", "n", "min_size", "gamma", "equals_gamma",
                           "witness", "sq_size", "sq_redundant"))
@@ -365,8 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("chi-table", help="chi records for a range of q")
     p.add_argument("--q-min", type=int, required=True, dest="q_min")
     p.add_argument("--q-max", type=int, required=True, dest="q_max")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default SEPSYM_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for table rows (default 1); "
+                        "--verify-golden runs in one process")
     p.add_argument("--verify-golden", action="store_true", dest="verify_golden",
                    help="compare against the shipped golden table instead of printing rows")
     _add_common(p)

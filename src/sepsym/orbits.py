@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from sepsym.errors import ParameterError, ScaleError
 from sepsym.gf import FieldSpec
 
 DEFAULT_ORBIT_BOUND = 10_000_000
-
-
-def canonicalize(v: Iterable[int]) -> tuple[int, ...]:
-    """Canonical representative of the orbit of v: the sorted index vector."""
-    return tuple(sorted(v))
 
 
 def enumerate_orbits(spec: FieldSpec, n: int,

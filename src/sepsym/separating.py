@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from sepsym.errors import ParameterError, ScaleError
+from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 # esym_all is not called here, but stays importable from this module: the
 # benchmark's layer tracer patches names where they are looked up.
 from sepsym.esym import convolution_step, esym_all, normalize_indices  # noqa: F401
@@ -116,13 +116,13 @@ def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int],
                   bound: int = DEFAULT_ORBIT_BOUND):
     """(is_minimal, redundant): whether no single index can be dropped.
 
-    Requires a separating input set; each index whose removal leaves the set
-    separating is reported as redundant.
+    Requires a separating input set, else raises NotSeparatingError; each
+    index whose removal leaves the set separating is reported as redundant.
     """
     idx = normalize_indices(indices, n)
     rows = _value_rows(spec, n, bound)
     if _first_collision(rows, _projector(idx)) is not None:
-        raise ParameterError("minimality is defined only for separating sets")
+        raise NotSeparatingError("minimality is defined only for separating sets")
     redundant = [t for t in idx
                  if _first_collision(rows, _projector(tuple(u for u in idx if u != t))) is None]
     return (not redundant, redundant)

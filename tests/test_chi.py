@@ -108,9 +108,9 @@ def test_lnln_examples():
     assert chi.lnln_floor(2) <= 0
     assert chi.lnln_floor(10_000) == 2
     assert chi.lnln_floor(5019) == 2
-    assert chi.lnln_bound_check(2)
-    assert chi.lnln_bound_check(10_000)
-    assert chi.lnln_bound_check(5019)
+    assert chi.chi_exact(2) >= chi.lnln_floor(2)
+    assert chi.chi_exact(10_000) >= chi.lnln_floor(10_000)
+    assert chi.chi_exact(5019) >= chi.lnln_floor(5019)
 
 
 def test_technical_expression_examples():

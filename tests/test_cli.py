@@ -1,10 +1,23 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from sepsym import cli, f3
+import sepsym
+from sepsym import cli, f3, separating
+from sepsym.errors import NotSeparatingError, ParameterError
+
+# The checkout's src directory, so that child interpreters run the same code.
+SRC = str(pathlib.Path(sepsym.__file__).resolve().parents[1])
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 def run(capsys, *argv):
@@ -41,6 +54,15 @@ def test_chi_json(capsys):
     assert row["chi"] == 2
     assert row["x0_is_integer"] is True
     assert row["x0_lo"] < 3 < row["x0_hi"]
+
+
+def test_chi_q_cap(capsys):
+    rc, lines = run(capsys, "chi", "--q", str(cli.MAX_TABLE_Q))
+    assert rc == 0
+    assert lines[2].startswith(f"{cli.MAX_TABLE_Q},")
+    rc, lines = run(capsys, "chi", "--q", str(cli.MAX_TABLE_Q + 1))
+    assert rc == 2
+    assert lines == []
 
 
 def test_chi_table_rows(capsys):
@@ -81,14 +103,17 @@ def test_chi_table_range_validation(capsys):
     assert rc == 2
 
 
-def test_jobs_environment(capsys, monkeypatch):
-    monkeypatch.setenv("SEPSYM_JOBS", "2")
-    rc, lines = run(capsys, "chi-table", "--q-min", "2", "--q-max", "30",
-                    "--verify-golden")
+def test_jobs_keep_output(capsys, monkeypatch):
+    table = ("chi-table", "--q-min", "2", "--q-max", "60")
+    assert run(capsys, *table, "--jobs", "2") == run(capsys, *table, "--jobs", "1")
+    golden = table + ("--verify-golden",)
+    rc, lines = run(capsys, *golden, "--jobs", "2")
     assert rc == 0
+    assert (rc, lines) == run(capsys, *golden, "--jobs", "1")
+    # --jobs is the only worker-count setting; the environment is not read
     monkeypatch.setenv("SEPSYM_JOBS", "zero")
-    rc, _ = run(capsys, "chi-table", "--q-min", "2", "--q-max", "30")
-    assert rc == 2
+    rc, _ = run(capsys, *table)
+    assert rc == 0
 
 
 def test_jobs_flag_validation(capsys):
@@ -118,6 +143,8 @@ def test_delta3_verify_mismatch(capsys, monkeypatch):
     rc, lines = run(capsys, "delta3", "--n-min", "9", "--n-max", "11", "--verify")
     assert rc == 1
     assert any("mismatches=3" in line for line in lines)
+    # the kind column is computed only for the rows written
+    assert lines[2:5] == ["9,1,0,A", "10,1,0,A", "11,1,0,A"]
 
 
 def test_delta3_validation(capsys):
@@ -183,6 +210,30 @@ def test_minsep(capsys):
     assert lines[2] == "2,3,2,2,true,1|2,2,"
 
 
+def test_minsep_scaled_set_not_separating(capsys, monkeypatch):
+    # No grid cell reaches this branch: every scaled set there separates.
+    rc, lines = run(capsys, "minsep", "--q", "7", "--n", "5")
+    assert (rc, lines[2]) == (0, "7,5,4,4,true,1|2|3|4,5,5")
+
+    def refuse(*args, **kwargs):
+        raise NotSeparatingError("minimality is defined only for separating sets")
+
+    monkeypatch.setattr(separating, "check_minimal", refuse)
+    rc, lines = run(capsys, "minsep", "--q", "7", "--n", "5")
+    assert (rc, lines[2]) == (0, "7,5,4,4,true,1|2|3|4,5,")
+    rc, lines = run(capsys, "minsep", "--q", "7", "--n", "5", "--format", "json")
+    assert rc == 0
+    assert json_rows(lines)[0]["sq_redundant"] is None
+
+    # any other parameter error is still a usage error
+    def reject(*args, **kwargs):
+        raise ParameterError("bad index set")
+
+    monkeypatch.setattr(separating, "check_minimal", reject)
+    rc, _ = run(capsys, "minsep", "--q", "7", "--n", "5")
+    assert rc == 2
+
+
 def test_orbits(capsys):
     rc, lines = run(capsys, "orbits", "--q", "2", "--n", "3")
     assert rc == 0
@@ -212,7 +263,7 @@ def test_no_command(capsys):
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "sepsym", "gamma",
                            "--q", "2", "--n", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "2,2,3,2,2,2,0" in proc.stdout
 
@@ -221,7 +272,7 @@ def test_closed_pipe_exits_quietly():
     # 54,264 rows overflow the pipe buffer, so the write after close must fail
     proc = subprocess.Popen([sys.executable, "-m", "sepsym", "orbits",
                              "--q", "16", "--n", "6"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     assert proc.stdout.readline() == b"# sepsym-table v1\n"
     proc.stdout.close()
     stderr = proc.stderr.read()
@@ -234,7 +285,7 @@ def test_unwritable_out_path(tmp_path):
     target = tmp_path / "missing" / "dir" / "x.csv"
     proc = subprocess.run([sys.executable, "-m", "sepsym", "gamma",
                            "--q", "3", "--n", "5", "--out", str(target)],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=child_env())
     assert proc.returncode == cli.EXIT_IO == 3
     assert proc.stderr.startswith("error: ")
     assert str(target) in proc.stderr

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepsym import gf
-from sepsym.errors import ParameterError, ScaleError
+from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 from sepsym.esym import esym_all, index_set_nq
 from sepsym.exactcount import gamma, orbit_count
 from sepsym.orbits import enumerate_orbits
@@ -112,6 +112,10 @@ def test_check_minimal_requires_separating_input():
     F2 = gf.field_for_order(2)
     with pytest.raises(ParameterError):
         check_minimal(F2, 3, (1,))
+    # the refusal has its own class, which callers such as minsep catch alone
+    with pytest.raises(NotSeparatingError, match="minimality is defined only for separating sets"):
+        check_minimal(F2, 3, (1,))
+    assert issubclass(NotSeparatingError, ParameterError)
 
 
 def test_min_separating_size_examples():
