@@ -15,6 +15,7 @@ equality.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -134,11 +135,14 @@ def chi_table(q_min: int, q_max: int, tol: float = DEFAULT_TOL,
     """ChiRecord for every q in [q_min, q_max], ordered by q.
 
     With jobs > 1 the independent q values are fanned out across worker
-    processes; the output order stays by q regardless of completion order.
+    processes, at most one per row and per CPU; the output order stays by q
+    regardless of completion order.
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
     qs = range(q_min, q_max + 1)
+    # the pool starts all its workers at once, so never ask for more than can run
+    jobs = min(jobs, len(qs), os.cpu_count() or 1)
     if jobs > 1:
         worker = partial(chi_record, tol=tol)
         chunk = max(1, len(qs) // (jobs * 8))

@@ -23,29 +23,18 @@ def convolution_step(spec: FieldSpec) -> Callable[[tuple[int, ...], int], tuple[
     product P(z) = 1 + s_1 z + ... + s_m z^m of m nonzero factors (1 + v_i z)
     and a nonzero element x, and returns the m + 1 values of P(z) * (1 + x z):
     s'_j = s_j + x s_{j-1}, with s_0 = 1 and s_{m+1} = 0. One step costs O(m)
-    field operations.
+    field operations, read from the field's tables, which the step binds
+    when it is made: so make it only where a product can occur.
     """
-    add_t = spec.add_table
-    if add_t is not None:
-        mul_t = spec.mul_table
+    add_t, mul_t = spec.tables
 
-        def step(values, x):
-            if not values:
-                return (x,)
-            mx = mul_t[x]
-            return (add_t[values[0]][x],
-                    *[add_t[a][mx[b]] for a, b in zip(values[1:], values)],
-                    mx[values[-1]])
-    else:
-        add = spec.add
-        mul = spec.mul
-
-        def step(values, x):
-            if not values:
-                return (x,)
-            return (add(values[0], x),
-                    *[add(a, mul(x, b)) for a, b in zip(values[1:], values)],
-                    mul(x, values[-1]))
+    def step(values, x):
+        if not values:
+            return (x,)
+        mx = mul_t[x]
+        return (add_t[values[0]][x],
+                *[add_t[a][mx[b]] for a, b in zip(values[1:], values)],
+                mx[values[-1]])
     return step
 
 
@@ -56,6 +45,8 @@ def esym_all(v: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
     for x in v:
         if not 0 <= x < q:
             raise ParameterError(f"element index {x} outside [0, {q})")
+    if n < 2:  # no product: s_1 = v_1, and the tables stay unbuilt
+        return tuple(v)
     step = convolution_step(spec)
     values = ()
     for x in v:

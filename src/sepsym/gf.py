@@ -7,18 +7,32 @@ additive identity and index 1 the multiplicative identity, for every field.
 
 The reduction modulus is the lexicographically smallest monic irreducible
 polynomial of degree k over F_p, where candidates are ordered by their
-low-degree-first coefficient vector read as a base-p integer. For q <= 256
-full q x q addition and multiplication tables are precomputed; larger
-fields fall back to on-the-fly polynomial arithmetic.
+low-degree-first coefficient vector read as a base-p integer.
+
+Every field has one representation: a q x q addition table and a q x q
+multiplication table, both built the first time a sum or product is asked
+for (FieldSpec.tables). Making a field, enumerating orbits and any walk at
+n = 1 never build them. Products come from one walk over the powers of a
+generator of the units (the exp/log representation; Lidl & Niederreiter,
+Finite Fields), sums digit by digit from the table of F_p.
+
+Rows are lists up to q = TABLE_MAX_ORDER and array('H') above it; the two
+tables of F_1024 take about 4.4 MB.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from array import array
+from functools import cached_property, lru_cache, partial
+from operator import itemgetter
 
 from sepsym.errors import ParameterError, ScaleError
 
 DEFAULT_MAX_ORDER = 1024
+# The largest order whose table rows are lists, which index fastest: their
+# entries are CPython's shared small ints (up to 256), so a list row costs 8
+# bytes per entry. Above it each entry would be an int object of its own, and
+# array('H') rows hold 2 bytes per entry.
 TABLE_MAX_ORDER = 256
 
 
@@ -98,8 +112,12 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """A finite field F_q set up for brute-force scans.
 
-    Instances are immutable after construction and safe to share between
-    concurrent consumers. Use make_field or field_for_order to obtain one.
+    The index encoding and the modulus are fixed at construction. The
+    addition and multiplication tables are built the first time a sum or
+    product is asked for, and cached on the instance (see tables). Instances
+    are safe to share between concurrent consumers: two threads that ask at
+    once may both build the tables, and either result is the same.
+    Use make_field or field_for_order to obtain one.
     """
 
     def __init__(self, p: int, k: int, modulus):
@@ -107,10 +125,6 @@ class FieldSpec:
         self.k = k
         self.q = p ** k
         self.modulus = tuple(modulus)
-        self.add_table = None
-        self.mul_table = None
-        if self.q <= TABLE_MAX_ORDER:
-            self._build_tables()
 
     def __repr__(self):
         return f"FieldSpec(q={self.q}, p={self.p}, k={self.k})"
@@ -131,119 +145,71 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.add_table is not None:
-            return self.add_table[a][b]
-        if self.k == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self.tables[0][a][b]
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.mul_table is not None:
-            return self.mul_table[a][b]
-        if self.k == 1:
-            return (a * b) % self.p
-        return self._mul_poly(a, b)
+        return self.tables[1][a][b]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by table-derived lookup; a testing helper, not a hot path."""
+        """Multiplicative inverse, read off a's multiplication row; a testing helper."""
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.mul_table is not None:
-            return self.mul_table[a].index(1)
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise RuntimeError("no inverse found; the modulus cannot be irreducible")
+        return self.tables[1][a].index(1)
+
+    @cached_property
+    def tables(self):
+        """(add_rows, mul_rows): add_rows[a][b] is the index of a + b, mul_rows[a][b] of a * b."""
+        p, q = self.p, self.q
+        as_row = list if q <= TABLE_MAX_ORDER else partial(array, "H")
+        # Sums digit by digit, from F_p up. With a = lo + m * hi (lo < m = p^j,
+        # hi < p), row a of the next table is row lo of this one shifted by
+        # m * ((hi + h) % p) in its block h = 0, ..., p - 1: one slice of the
+        # shifted blocks of row lo, laid out twice.
+        base = list(range(p))
+        add_rows = [as_row(base[a:] + base[:a]) for a in range(p)]
+        m = p
+        for _ in range(self.k - 1):
+            rows = [None] * (m * p)
+            for lo, r in enumerate(add_rows):
+                blocks = [x + m * h for h in range(p) for x in r] * 2
+                for hi in range(p):
+                    rows[lo + m * hi] = as_row(blocks[m * hi:m * (hi + p)])
+            add_rows = rows
+            m *= p
+        # Products through exp/log: exp[i] = g^i for the first candidate g,
+        # counting from 1, whose powers reach all q - 1 units before 1 again.
+        order = q - 1
+        for g in range(1, q):
+            exp = [1]
+            x = g
+            while x != 1 and len(exp) < q:
+                exp.append(x)
+                x = self._mul_poly(x, g)
+            if x == 1 and len(exp) == order:
+                break
+        else:
+            raise RuntimeError("multiplicative group is not cyclic; modulus is reducible")
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp + exp
+        # row a lists g^(log a + log b) for b > 0, after the 0 that serves b = 0
+        gather = itemgetter(0, *[1 + i for i in log[1:]])
+        mul_rows = [as_row([0] * q)]
+        mul_rows += [as_row(gather([0, *exp2[log[a]:log[a] + order]])) for a in range(1, q)]
+        return add_rows, mul_rows
 
     def _mul_poly(self, a: int, b: int) -> int:
+        """a * b by polynomial multiplication and reduction; used only to walk a generator."""
         p, k = self.p, self.k
-        da = _digits(a, p, k)
-        db = _digits(b, p, k)
         prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        m = self.modulus
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                off = deg - k
-                for t in range(k):
-                    if m[t]:
-                        prod[off + t] = (prod[off + t] - c * m[t]) % p
-        out = 0
-        mult = 1
-        for c in prod[:k]:
-            out += c * mult
-            mult *= p
-        return out
-
-    def _find_generator(self) -> int:
-        q = self.q
-        for cand in range(2, q):
-            x = cand
-            order = 1
-            while x != 1:
-                x = self._mul_poly(x, cand)
-                order += 1
-                if order > q:
-                    raise RuntimeError("unit walk did not close; modulus is reducible")
-            if order == q - 1:
-                return cand
-        raise RuntimeError("multiplicative group is not cyclic; modulus is reducible")
-
-    def _build_tables(self):
-        q, p, k = self.q, self.p, self.k
-        if k == 1:
-            self.add_table = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self.mul_table = [[(a * b) % p for b in range(q)] for a in range(q)]
-            return
-        digits = [_digits(a, p, k) for a in range(q)]
-        powers = [p ** i for i in range(k)]
-        add_rows = []
-        for a in range(q):
-            da = digits[a]
-            row = [0] * q
-            for b in range(q):
-                db = digits[b]
-                s = 0
-                for i in range(k):
-                    s += ((da[i] + db[i]) % p) * powers[i]
-                row[b] = s
-            add_rows.append(row)
-        self.add_table = add_rows
-        # Multiplication through exp/log over the cyclic group of units:
-        # one generator walk gives every product as an exponent sum.
-        g = self._find_generator()
-        exp = [1]
-        x = 1
-        for _ in range(q - 2):
-            x = self._mul_poly(x, g)
-            exp.append(x)
-        log = {v: i for i, v in enumerate(exp)}
-        order = q - 1
-        mul_rows = [[0] * q]
-        for a in range(1, q):
-            la = log[a]
-            row = [0] * q
-            for b in range(1, q):
-                row[b] = exp[(la + log[b]) % order]
-            mul_rows.append(row)
-        self.mul_table = mul_rows
+        for i, ai in enumerate(_digits(a, p, k)):
+            for j, bj in enumerate(_digits(b, p, k)):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        return sum(c * p ** i for i, c in enumerate(_poly_rem(prod, self.modulus, p)))
 
 
 @lru_cache(maxsize=None)

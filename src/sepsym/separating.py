@@ -52,7 +52,8 @@ def orbit_rows(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUND
     The representatives and their order are those of enumerate_orbits, which
     also enforces the orbit bound.
     """
-    step = convolution_step(spec)
+    # at n = 1 no product occurs, so the field's tables stay unbuilt
+    step = convolution_step(spec) if n > 1 else lambda values, x: (x,)
     pads = [(0,) * k for k in range(n + 1)]
     # prefix[d]: the values of the product over rep[:d]; zeros leave it unchanged
     prefix = [()] * (n + 1)

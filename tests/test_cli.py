@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import sepsym
-from sepsym import cli, f3, separating
+from sepsym import chi, cli, f3, separating
 from sepsym.errors import NotSeparatingError, ParameterError
 
 # The checkout's src directory, so that child interpreters run the same code.
@@ -114,6 +114,40 @@ def test_jobs_keep_output(capsys, monkeypatch):
     monkeypatch.setenv("SEPSYM_JOBS", "zero")
     rc, _ = run(capsys, *table)
     assert rc == 0
+
+
+def test_jobs_capped_by_rows_and_cpus(capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    table = ("chi-table", "--q-min", "2", "--q-max", "10")
+    want = run(capsys, *table, "--jobs", "1")
+    monkeypatch.setattr(chi, "ProcessPoolExecutor", SerialPool)
+    # at most one worker per row (9 here) and per CPU
+    for cpus, workers in ((64, 9), (4, 4)):
+        monkeypatch.setattr(chi.os, "cpu_count", lambda: cpus)
+        assert run(capsys, *table, "--jobs", "1000000") == want
+        assert sizes.pop() == workers
+    # one CPU (or an unknown count), or one row: no pool at all
+    monkeypatch.setattr(chi.os, "cpu_count", lambda: None)
+    assert run(capsys, *table, "--jobs", "1000000") == want
+    monkeypatch.setattr(chi.os, "cpu_count", lambda: 64)
+    assert run(capsys, "chi-table", "--q-min", "7", "--q-max", "7", "--jobs", "8")[0] == 0
+    assert sizes == []
 
 
 def test_jobs_flag_validation(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
 from sepsym import gf
 from sepsym.errors import ParameterError, ScaleError
@@ -8,6 +10,18 @@ from support import is_irreducible_by_products
 
 EXHAUSTIVE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 SAMPLED_ORDERS = [25, 27, 49, 64, 81, 125, 128, 243, 256, 343, 512, 729, 1024]
+# prime and odd-square orders above 256, which SAMPLED_ORDERS lacks
+ORACLE_ORDERS = SAMPLED_ORDERS + [257, 289, 961, 1021]
+
+
+def _sympy_poly(value, p, k):
+    """Base-p digits of value (low degree first) as a sympy GF(p) polynomial, high degree first."""
+    digits = [(value // p ** i) % p for i in range(k)]
+    return [ZZ(c) for c in reversed(digits)]
+
+
+def _sympy_index(poly, p):
+    return sum(int(c) * p ** i for i, c in enumerate(reversed(poly)))
 
 
 def test_prime_power_decomposition():
@@ -103,6 +117,26 @@ def test_moduli_are_lexicographically_least():
             assert not is_irreducible_by_products(tuple(coeffs + [1]), p)
 
 
+def test_arithmetic_matches_sympy():
+    # sympy's GF(p) polynomial tools as an independent oracle for the modulus
+    # choice and for sums and products under the base-p index encoding
+    rng = random.Random(771205)
+    for q in ORACLE_ORDERS:
+        spec = gf.field_for_order(q)
+        p, k = spec.p, spec.k
+        modulus = [ZZ(c) for c in reversed(spec.modulus)]
+        assert spec.modulus[-1] == 1 and gf_irreducible_p(modulus, p, ZZ)
+        chosen = _sympy_index(modulus[1:], p)
+        for c in range(chosen):
+            assert not gf_irreducible_p([ZZ(1)] + _sympy_poly(c, p, k), p, ZZ)
+        for _ in range(300):
+            a = rng.randrange(q)
+            b = rng.randrange(q)
+            fa, fb = _sympy_poly(a, p, k), _sympy_poly(b, p, k)
+            assert spec.add(a, b) == _sympy_index(gf_add(fa, fb, p, ZZ), p)
+            assert spec.mul(a, b) == _sympy_index(gf_rem(gf_mul(fa, fb, p, ZZ), modulus, p, ZZ), p)
+
+
 def test_field_axioms_exhaustive_small():
     for q in EXHAUSTIVE_ORDERS:
         spec = gf.field_for_order(q)
@@ -156,7 +190,7 @@ def test_inverses():
             assert spec.mul(a, spec.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         gf.field_for_order(5).inv(0)
-    # off-table path
+    # a field above 256, whose table rows are arrays
     spec = gf.field_for_order(343)
     rng = random.Random(59014)
     for _ in range(10):

@@ -20,13 +20,13 @@ from support import GRID_CELLS, naive_check, naive_min_size, naive_redundant
 
 TABLE_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256)
 
-# Table fields at every n with at most 2000 orbits; F_2 with long vectors;
-# fields above 256, whose arithmetic is polynomial, at n <= 2.
+# Fields with list table rows at every n with at most 2000 orbits; F_2 with
+# long vectors; fields above 256, whose table rows are arrays, at n <= 2.
 WALK_CELLS = st.one_of(
     st.sampled_from([(q, n) for q in TABLE_ORDERS for n in range(1, 12)
                      if orbit_count(q, n) <= 2000]),
     st.tuples(st.just(2), st.integers(1, 200)),
-    st.sampled_from([(257, 1), (257, 2), (289, 1), (289, 2), (343, 1), (512, 1),
+    st.sampled_from([(257, 1), (257, 2), (289, 1), (289, 2), (343, 1), (512, 1), (512, 2),
                      (729, 1), (1024, 1)]),
 )
 
@@ -167,6 +167,18 @@ def test_exhaustive_small_subsets_q2_n4():
                 separating.append(T)
     assert separating == [(1, 2, 4), (1, 2, 3, 4)]
     assert min_separating_size(F2, 4) == (3, (1, 2, 4))
+
+
+def test_walks_without_products_leave_tables_unbuilt():
+    # a fresh instance, so that no earlier test has built its tables
+    spec = gf.FieldSpec(2, 10, gf.field_for_order(1024).modulus)
+    assert sum(1 for _ in enumerate_orbits(spec, 2)) == orbit_count(1024, 2)
+    assert check_separating(spec, 1, (1,)).separating
+    assert min_separating_size(spec, 1) == (1, (1,))
+    assert esym_all((5,), spec) == (5,)
+    assert "tables" not in vars(spec)
+    assert esym_all((5, 7), spec) == (spec.add(5, 7), spec.mul(5, 7))
+    assert "tables" in vars(spec)
 
 
 @settings(max_examples=40, deadline=None)
