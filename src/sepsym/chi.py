@@ -10,6 +10,9 @@ comparisons; x0_bracket then isolates x_0 inside [chi, chi+1] numerically.
 Whether x_0 is itself an integer is never decided by float proximity: the
 root equals chi+1 exactly when q**chi == binom(chi+q, chi+1), a big-integer
 equality.
+
+A margin, not the width, certifies the bracket: bisection stops below TOL/2,
+then each end moves TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
 """
 
 from __future__ import annotations
@@ -18,14 +21,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from sepsym.errors import ParameterError
 from sepsym.exactcount import least_possible_criterion
 
-DEFAULT_TOL = 1e-9
-MIN_TOL = 1e-12
-_BISECT_CAP = 200
+TOL = 1e-9
 _NEAR_INT_BAND = 1e-9
 
 # Validity threshold of the auxiliary positivity check: e**(e**2) ~ 1618.18.
@@ -58,49 +58,58 @@ def chi_exact(q: int) -> int:
     return n
 
 
-def root_gap(q: int, x: float) -> float:
-    """(x-1)*ln(q) - sum_{i=1}^{q-1} ln(x/i + 1); negative below the root, positive above.
+def _gap(q: int):
+    """x -> root_gap(q, x), with the terms in q alone computed once.
 
-    The sum telescopes: sum ln((x+i)/i) = lgamma(x+q) - lgamma(x+1) - lgamma(q),
-    which keeps each evaluation O(1) and free of overflow however large q gets.
+    Neither form subtracts two numbers of size q*ln(q): a compensated sum up
+    to q = 64, Stirling's series (Abramowitz & Stegun 6.1.41) above it.
     """
+    ln_q = math.log(q)
+    if q <= 64:
+        return lambda x: (x - 1.0) * ln_q - math.fsum(math.log1p(x / i) for i in range(1, q))
+    # S(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5), the remainder of lgamma(z)
+    s_q = 1 / (12 * q) - 1 / (360 * q ** 3) + 1 / (1260 * q ** 5)
+
+    def gap(x: float) -> float:
+        r = 1.0 / (q + x)
+        return (x + math.lgamma(x + 1.0) - ln_q - (q + x - 0.5) * math.log1p(x / q)
+                - (r * (1 / 12 - r * r * (1 / 360 - r * r / 1260)) - s_q))
+    return gap
+
+
+def root_gap(q: int, x: float) -> float:
+    """(x-1)*ln(q) - sum_{i=1}^{q-1} ln(x/i + 1); negative below the root, positive above."""
     if q < 2:
         raise ParameterError(f"q must be >= 2, got {q}")
-    return (x - 1.0) * math.log(q) - (
-        math.lgamma(x + q) - math.lgamma(x + 1.0) - math.lgamma(q)
-    )
+    return _gap(q)(x)
 
 
-def _bracket(q: int, c: int, tol: float):
-    """Bracket the root inside [c, c+1], where c == chi_exact(q)."""
-    m = c + 1
-    if q ** (m - 1) == math.comb(m + q - 1, m):
-        # The root is the integer m exactly. Bisection cannot strictly
-        # contain an endpoint root, so return a straddling bracket instead;
-        # quarter-tol half-width keeps the width under tol after rounding.
-        half = tol / 4.0
-        return (m - half, m + half, True)
-    lo, hi = float(c), float(m)
-    for _ in range(_BISECT_CAP):
-        if hi - lo <= tol:
-            break
+def _bracket(q: int, c: int):
+    """Bracket the root inside [c, c+1], where c == chi_exact(q).
+
+    Bisect to a width below TOL/2, then move each end TOL/4 outward: the gap
+    has slope >= 0.36 on [c, c+1] (least at q = 2) and an error near 1e-14,
+    so each moved end has |gap| >= 9e-11 on its own side of the root. An
+    integer root c+1 (q**c == binom(c+q, c+1)) ends strictly inside; other
+    brackets are clamped to [c, c+1].
+    """
+    gap = _gap(q)
+    lo, hi = float(c), float(c + 1)
+    while hi - lo > TOL / 2:
         mid = 0.5 * (lo + hi)
-        if root_gap(q, mid) < 0.0:
+        if gap(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return (lo, hi, False)
+    lo, hi = lo - TOL / 4, hi + TOL / 4
+    if q ** c == math.comb(c + q, c + 1):
+        return (lo, hi, True)
+    return (max(lo, float(c)), min(hi, float(c + 1)), False)
 
 
-def _check_tol(tol: float):
-    if not tol >= MIN_TOL:
-        raise ParameterError(f"tolerance must be >= {MIN_TOL}, got {tol}")
-
-
-def x0_bracket(q: int, tol: float = DEFAULT_TOL):
-    """(x0_lo, x0_hi, x0_is_integer) with x0_lo < x_0 < x0_hi and width <= tol."""
-    _check_tol(tol)
-    return _bracket(q, chi_exact(q), tol)
+def x0_bracket(q: int):
+    """(x0_lo, x0_hi, x0_is_integer) with x0_lo < x_0 < x0_hi and width <= TOL."""
+    return _bracket(q, chi_exact(q))
 
 
 def lnln_floor(q: int) -> int:
@@ -121,17 +130,15 @@ def lnln_floor(q: int) -> int:
     return math.floor(v)
 
 
-def chi_record(q: int, tol: float = DEFAULT_TOL) -> ChiRecord:
+def chi_record(q: int) -> ChiRecord:
     """The full per-q record: exact chi, root bracket, and lower bound."""
-    _check_tol(tol)
     c = chi_exact(q)
-    lo, hi, is_int = _bracket(q, c, tol)
+    lo, hi, is_int = _bracket(q, c)
     return ChiRecord(q=q, chi=c, x0_lo=lo, x0_hi=hi, x0_is_integer=is_int,
                      lower_bound=lnln_floor(q))
 
 
-def chi_table(q_min: int, q_max: int, tol: float = DEFAULT_TOL,
-              jobs: int = 1) -> list[ChiRecord]:
+def chi_table(q_min: int, q_max: int, jobs: int = 1) -> list[ChiRecord]:
     """ChiRecord for every q in [q_min, q_max], ordered by q.
 
     With jobs > 1 the independent q values are fanned out across worker
@@ -144,11 +151,10 @@ def chi_table(q_min: int, q_max: int, tol: float = DEFAULT_TOL,
     # the pool starts all its workers at once, so never ask for more than can run
     jobs = min(jobs, len(qs), os.cpu_count() or 1)
     if jobs > 1:
-        worker = partial(chi_record, tol=tol)
         chunk = max(1, len(qs) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, qs, chunksize=chunk))
-    return [chi_record(q, tol) for q in qs]
+            return list(pool.map(chi_record, qs, chunksize=chunk))
+    return [chi_record(q) for q in qs]
 
 
 def technical_expression(q: float) -> float:

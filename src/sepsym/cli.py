@@ -227,14 +227,15 @@ def _cmd_delta3(args, stream) -> int:
 
 
 def _cmd_classify3(args, stream) -> int:
-    if args.n is not None:
+    if args.n is not None and args.n_min is None and args.n_max is None:
         n_min = n_max = args.n
-    elif args.n_min is not None and args.n_max is not None:
+    elif args.n is None and args.n_min is not None and args.n_max is not None:
         n_min, n_max = args.n_min, args.n_max
     else:
         raise ParameterError("pass either --n or both --n-min and --n-max")
     if n_min > n_max:
         raise ParameterError(f"require n-min <= n-max, got [{n_min}, {n_max}]")
+    f3.classify3(n_min)  # rejects n_min < 9 before any output
     writer = TableWriter(stream, args.format,
                          ("n", "r", "kind", "alpha", "beta", "delta", "delta_predicted"))
     for n in range(n_min, n_max + 1):
@@ -304,9 +305,10 @@ def _cmd_minsep(args, stream) -> int:
 
 def _cmd_orbits(args, stream) -> int:
     field = gf.field_for_order(args.q)
+    reps = enumerate_orbits(field, args.n, bound=args.orbit_bound)
     writer = TableWriter(stream, args.format, ("rep",))
     total = 0
-    for rep in enumerate_orbits(field, args.n, bound=args.orbit_bound):
+    for rep in reps:
         writer.row({"rep": _join(rep)})
         total += 1
     writer.summary({"count": total})

@@ -28,7 +28,7 @@ from operator import itemgetter
 
 from sepsym.errors import ParameterError, ScaleError
 
-DEFAULT_MAX_ORDER = 1024
+MAX_ORDER = 1024
 # The largest order whose table rows are lists, which index fastest: their
 # entries are CPython's shared small ints (up to 256), so a list row costs 8
 # bytes per entry. Above it each entry would be an int object of its own, and
@@ -217,25 +217,25 @@ def _build_field(p: int, k: int) -> FieldSpec:
     return FieldSpec(p, k, _smallest_irreducible(p, k))
 
 
-def make_field(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
+def make_field(p: int, k: int) -> FieldSpec:
     """Construct F_{p^k} with the lexicographically smallest monic irreducible modulus.
 
     Repeated calls with the same (p, k) return the same cached, immutable
     instance. Raises ParameterError for non-prime p or k < 1 and ScaleError
-    when p**k exceeds max_order.
+    when p**k exceeds MAX_ORDER.
     """
     if not is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if p ** k > max_order:
-        raise ScaleError(f"field order {p ** k} exceeds the bound {max_order}")
+    if p ** k > MAX_ORDER:
+        raise ScaleError(f"field order {p ** k} exceeds the bound {MAX_ORDER}")
     return _build_field(p, k)
 
 
-def field_for_order(q: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldSpec:
+def field_for_order(q: int) -> FieldSpec:
     """make_field for a prime power given as a single order q."""
     pk = prime_power(q)
     if pk is None:
         raise ParameterError(f"{q} is not a prime power")
-    return make_field(pk[0], pk[1], max_order=max_order)
+    return make_field(pk[0], pk[1])

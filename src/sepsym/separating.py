@@ -76,14 +76,14 @@ def _projector(idx: tuple[int, ...]):
     return itemgetter(*[t - 1 for t in idx])
 
 
-def _first_collision(rows: list, project):
-    """The first two rows with equal fingerprints under project, or None if there are none."""
-    seen = {}
-    for i, fp in enumerate(map(project, rows)):
-        j = seen.setdefault(fp, i)
-        if j != i:
-            return rows[j], rows[i]
-    return None
+def _separates(rows: list, project) -> bool:
+    """Whether project gives every row its own fingerprint; stops at the first collision."""
+    seen = set()
+    for fp in map(project, rows):
+        if fp in seen:
+            return False
+        seen.add(fp)
+    return True
 
 
 def _value_rows(spec: FieldSpec, n: int, bound: int) -> list:
@@ -122,15 +122,14 @@ def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int],
     """
     idx = normalize_indices(indices, n)
     rows = _value_rows(spec, n, bound)
-    if _first_collision(rows, _projector(idx)) is not None:
+    if not _separates(rows, _projector(idx)):
         raise NotSeparatingError("minimality is defined only for separating sets")
     redundant = [t for t in idx
-                 if _first_collision(rows, _projector(tuple(u for u in idx if u != t))) is None]
+                 if _separates(rows, _projector(tuple(u for u in idx if u != t)))]
     return (not redundant, redundant)
 
 
-def min_separating_size(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUND,
-                        max_n: int = MAX_SUBSET_SEARCH_N):
+def min_separating_size(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUND):
     """Smallest size of a separating index subset, with the first witness.
 
     Sizes are tried in ascending order starting at gamma(q, n); sets below
@@ -140,19 +139,12 @@ def min_separating_size(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUN
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise ScaleError(f"subset search over {{1..{n}}} exceeds the bound n <= {max_n}")
+    if n > MAX_SUBSET_SEARCH_N:
+        raise ScaleError(
+            f"subset search over {{1..{n}}} exceeds the bound n <= {MAX_SUBSET_SEARCH_N}")
     rows = _value_rows(spec, n, bound)
-    # Pairs of rows that collided on an earlier candidate: a candidate on
-    # which one of them agrees cannot separate.
-    colliding = []
     for k in range(gamma(spec.q, n), n + 1):
         for T in itertools.combinations(range(1, n + 1), k):
-            project = _projector(T)
-            if any(project(u) == project(w) for u, w in colliding):
-                continue
-            pair = _first_collision(rows, project)
-            if pair is None:
+            if _separates(rows, _projector(T)):
                 return k, T
-            colliding.append(pair)
     raise RuntimeError("no separating subset found, though the full set always separates")

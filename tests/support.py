@@ -3,6 +3,8 @@
 import itertools
 import math
 
+import mpmath
+
 from sepsym.esym import esym_all
 
 # q -> largest n for brute-force orbit work; each cell stays well under a
@@ -11,6 +13,21 @@ BRUTE_GRID = {2: 16, 3: 12, 4: 9, 5: 8, 7: 6, 8: 5, 9: 5}
 
 GRID_CELLS = [(q, n) for q, top in sorted(BRUTE_GRID.items())
               for n in range(1, top + 1)]
+
+
+def mp_gap(q):
+    """x -> (x-1)*ln(q) - sum_{i<q} ln(x/i + 1) in mpmath at the working precision.
+
+    The sum is lgamma(x+q) - lgamma(x+1) - lgamma(q), the cancelling form;
+    at 40 digits it still leaves an error below 1e-20 for q <= 10^15. A
+    float x is taken exactly.
+    """
+    ln_q, lg_q = mpmath.log(q), mpmath.loggamma(q)
+
+    def gap(x):
+        x = mpmath.mpf(x)
+        return (x - 1) * ln_q - (mpmath.loggamma(x + q) - mpmath.loggamma(x + 1) - lg_q)
+    return gap
 
 
 def brute_esym(v, spec):

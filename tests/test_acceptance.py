@@ -10,11 +10,13 @@ import itertools
 import math
 import time
 
+import mpmath
+
 from sepsym import chi, cli, exactcount, f3, gf
 from sepsym.esym import esym_all, index_set_nq
 from sepsym.orbits import enumerate_orbits
 from sepsym.separating import check_minimal, check_separating
-from support import BRUTE_GRID, GRID_CELLS
+from support import BRUTE_GRID, GRID_CELLS, mp_gap
 
 import random
 
@@ -69,6 +71,7 @@ def test_criterion_03_correction_term_identities(acceptance_log):
 
 
 def test_criterion_04_root_brackets(acceptance_log, full_chi_records):
+    t0 = time.perf_counter()
     failures = []
     for rec in full_chi_records:
         if not rec.x0_lo > 1.0:
@@ -83,14 +86,22 @@ def test_criterion_04_root_brackets(acceptance_log, full_chi_records):
             implied = math.floor(rec.x0_hi)
         if implied != rec.chi:
             failures.append((rec.q, "chi"))
+        # containment: the gap, at 40 digits, changes sign across the bracket
+        with mpmath.workdps(40):
+            gap = mp_gap(rec.q)
+            contains = gap(rec.x0_lo) < 0 < gap(rec.x0_hi)
+        if not contains:
+            failures.append((rec.q, "contains"))
+    dt = time.perf_counter() - t0
     rec2 = full_chi_records[0]
     q2_integer = rec2.q == 2 and rec2.x0_is_integer \
         and round((rec2.x0_lo + rec2.x0_hi) / 2) == 3
     ok = not failures and q2_integer
     acceptance_log(f"criterion 4 {_verdict(ok)}: brackets over [2, 10^4] stay "
                    f"in (1, q), have width <= 1e-9, imply the scanned chi, "
+                   f"contain the root by a 40-digit sign check, "
                    f"and detect the integer root 3 at q = 2; "
-                   f"{len(failures)} failures")
+                   f"{len(failures)} failures in {dt:.2f} s")
     assert failures == []
     assert q2_integer
 

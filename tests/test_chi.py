@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import pytest
 
 from sepsym import chi
 from sepsym.errors import ParameterError
+from support import mp_gap
 
 
 def test_chi_exact_examples():
@@ -25,7 +27,7 @@ def test_bracket_q2_integer_root():
     lo, hi, is_int = chi.x0_bracket(2)
     assert is_int
     assert lo < 3.0 < hi
-    assert hi - lo <= chi.DEFAULT_TOL
+    assert hi - lo <= chi.TOL
     # 2^(3-1) = 4 = 3 + 1 exactly
     assert 2 ** 2 == math.comb(3 + 1, 3)
 
@@ -57,21 +59,17 @@ def test_bracket_contains_sign_change():
             assert chi.root_gap(q, c + 1) > 0
 
 
-def test_bracket_respects_custom_tolerance():
-    lo, hi, _ = chi.x0_bracket(7, tol=1e-6)
-    assert hi - lo <= 1e-6
-    lo2, hi2, _ = chi.x0_bracket(7, tol=1e-11)
-    assert hi2 - lo2 <= 1e-11
-    assert lo <= lo2 < hi2 <= hi
-
-
-def test_tolerance_validation():
-    with pytest.raises(ParameterError):
-        chi.x0_bracket(5, tol=1e-13)
-    with pytest.raises(ParameterError):
-        chi.x0_bracket(5, tol=0.0)
-    with pytest.raises(ParameterError):
-        chi.x0_bracket(5, tol=float("nan"))
+def test_bracket_contains_findroot_at_powers_of_ten():
+    for k in range(4, 16):
+        q = 10 ** k
+        c = chi.chi_exact(q)
+        lo, hi, is_int = chi.x0_bracket(q)
+        with mpmath.workdps(40):
+            root = mpmath.findroot(mp_gap(q), (c, c + 1), solver="anderson")
+            assert lo < root < hi, (k, lo, hi, root)
+        assert not is_int
+        assert c <= lo and hi <= c + 1
+        assert hi - lo <= chi.TOL
 
 
 def test_chi_table_examples():

@@ -210,6 +210,21 @@ def test_classify3_usage(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify3", "--n-min", "5", "--n-max", "12"),
+    ("classify3", "--n", "9", "--n-min", "3"),
+    ("orbits", "--q", "3", "--n", "0"),
+])
+def test_usage_error_prints_no_table(capsys, tmp_path, argv):
+    rc, lines = run(capsys, *argv)
+    assert rc == 2
+    assert lines == []
+    target = tmp_path / "table.csv"
+    rc, _ = run(capsys, *argv, "--out", str(target))
+    assert rc == 2
+    assert target.read_text() == ""
+
+
 def test_check_sep_preset(capsys):
     rc, lines = run(capsys, "check-sep", "--q", "4", "--n", "6", "--preset", "sq",
                     "--format", "json")

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsym import f3
 from sepsym.errors import ParameterError
@@ -166,3 +170,27 @@ def test_block_ordering_constants():
         assert 3 ** (2 * r + 1) < 4 * 3 ** (2 * r)
         s = 4 * 3 ** r + 3
         assert s * s < 8 * 3 ** (2 * r + 1) + 1
+
+
+def _window_boundary_points(r_max=400, reach=3):
+    """Every n >= 2 within reach of a_r, b_r, 3^floor(r/2) and 2*3^floor(r/2), r <= r_max."""
+    points = set()
+    for r in range(r_max + 1):
+        t, h = 3 ** r, 3 ** (r // 2)
+        for centre in (math.isqrt(t), (math.isqrt(8 * t + 1) - 3) // 2, h, 2 * h):
+            points.update(range(max(2, centre - reach), centre + reach + 1))
+    return sorted(points)
+
+
+def test_delta3_matches_prediction_at_window_boundaries():
+    # both sides are O(log n), so the claim is checked where the windows
+    # change, up to n ~ 10^96, not only on the exhaustive range [2, 10^5]
+    points = _window_boundary_points()
+    assert points[-1] > 10 ** 95
+    assert [n for n in points if delta3(n) != f3.predicted_delta3(n)] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 60))
+def test_delta3_matches_prediction_up_to_1e60(n):
+    assert delta3(n) == f3.predicted_delta3(n)
