@@ -22,6 +22,9 @@ from sepsym.orbits import DEFAULT_ORBIT_BOUND, enumerate_orbits
 
 SCHEMA_TAG = "# sepsym-table v1"
 MAX_TABLE_Q = 10 ** 6
+# chi for one q: below 2^53, so q is exact as a float, and the x0 bracket is
+# checked against mpmath up to here
+MAX_CHI_Q = 10 ** 15
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -65,6 +68,27 @@ class TableWriter:
             print(f"# {body}", file=self.stream)
         else:
             print(json.dumps(record), file=self.stream)
+
+
+class _OpenOnWrite:
+    """A text file that is opened, and so truncated, only when the first text is written.
+
+    A command that fails before its first row (a usage error) leaves the
+    file as it was.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.file = None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8")
+        return self.file.write(text)
+
+    def close(self):
+        if self.file is not None:
+            self.file.close()
 
 
 def _join(seq) -> str:
@@ -143,8 +167,8 @@ def _cmd_gamma(args, stream) -> int:
 
 
 def _cmd_chi(args, stream) -> int:
-    if args.q > MAX_TABLE_Q:
-        raise ParameterError(f"q above the supported cap {MAX_TABLE_Q}")
+    if args.q > MAX_CHI_Q:
+        raise ParameterError(f"q above the supported cap {MAX_CHI_Q}")
     rec = chi.chi_record(args.q)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
     writer.row(_chi_row(rec))
@@ -420,8 +444,11 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     try:
         if out:
-            with open(out, "w", encoding="utf-8") as stream:
+            stream = _OpenOnWrite(out)
+            try:
                 return args.func(args, stream)
+            finally:
+                stream.close()
         code = args.func(args, sys.stdout)
         sys.stdout.flush()
         return code

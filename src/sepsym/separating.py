@@ -5,24 +5,36 @@ representative to its tuple of s_t values, is injective over all orbits.
 Everything here is exhaustive: verdicts come from scanning every orbit, not
 from any closed-form shortcut.
 
-All verdicts read one walk, orbit_rows. It visits the orbit representatives
-in lexicographic order, as a depth-first walk of the tree of their prefixes
-(combinations with repetition; Knuth, TAOCP 4A, 7.2.1.3), and keeps the
-values of prod (1 + v_i z) for every prefix on the current path. A
-representative shares all but its last run of equal entries with the one
-before it, so its value vector costs one O(n) convolution step per entry of
-that run instead of an O(n^2) rebuild.
+All verdicts read one walk, _leaf_batches. It visits the orbit
+representatives in lexicographic order, as a depth-first walk of the tree
+of their prefixes (combinations with repetition; Knuth, TAOCP 4A, 7.2.1.3).
+Interior nodes, the prefixes of length n - 1, keep the values of
+prod (1 + v_i z): a prefix shares all but its last run of equal entries
+with the one before it, so its values cost one O(n) convolution step per
+entry of that run. The leaves under a prefix with last entry a,
+prefix + (x,) for x = a, ..., q - 1, come as one batch: leaf x has
+s'_t = s_t + x s_{t-1} (with s_0 = 1), so only the requested s'_t are
+computed, straight from the prefix's values and the field's tables. When
+the batch has more leaves than there are requested indices, the column of
+s'_t over the batch is the addition-table row of s_t read along a slice of
+the multiplication-table row of s_{t-1}, which map runs in C, and zip of
+the columns gives the fingerprints; otherwise, as on long vectors, where
+most batches hold one or two leaves, one pass per leaf is cheaper.
 
-check_separating streams the walk: it holds only its dict of distinct
-fingerprints. check_minimal and min_separating_size walk once per call and
-hold one value tuple per orbit until they return; every index set they try
-is a projection of those rows, scanned only up to its first collision.
+check_separating streams the walk and keeps only the set of distinct
+fingerprints; a batch that adds fewer fingerprints than it has leaves holds
+the first collision, whose witness one re-walk up to that batch recovers.
+check_minimal and min_separating_size hold one value tuple per orbit;
+every index set they try is a projection of those rows, scanned only up to
+its first collision. The last such walk is kept, so that minsep, which asks
+both questions of one field and n, walks once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -45,6 +57,49 @@ class SeparationVerdict:
     fingerprint_count: int
 
 
+def _leaf_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], bound: int
+                  ) -> Iterator[tuple[tuple[int, ...], int, Iterable[tuple[int, ...]]]]:
+    """Stream (prefix, a, fingerprints) for every prefix of length n - 1, in lexicographic order.
+
+    The prefix's leaves are prefix + (x,) for x = a, ..., q - 1, where a is
+    its last entry (0 for the empty prefix of n = 1); fingerprints yields
+    (s_t for t in idx) of each, in that order, once. The orbit bound is that
+    of enumerate_orbits.
+    """
+    enumerate_orbits(spec, n, bound)  # checks n and the orbit bound
+    q = spec.q
+    if n == 1:  # no product: s_1 is the leaf itself, and the tables stay unbuilt
+        yield (), 0, [(x,) * len(idx) for x in range(q)]
+        return
+    add_t, mul_t = spec.tables
+    get = [row.__getitem__ for row in add_t]
+    step = convolution_step(spec)
+    pads = [(0,) * k for k in range(n + 1)]
+    # prefix[:d] has values values[d]; zeros leave them unchanged
+    values = [()] * n
+    for prefix in itertools.combinations_with_replacement(range(q), n - 1):
+        a = prefix[-1]
+        # prefix agrees with its predecessor up to its first copy of a
+        d = prefix.index(a)
+        s = values[d]
+        for d in range(d, n - 1):
+            x = prefix[d]
+            if x:
+                s = step(s, x)
+            values[d + 1] = s
+        s = (1, *s, *pads[n - len(s)])  # s_0, ..., s_n with s_n = 0
+        # Leaf x has s'_t = s_t + x s_{t-1}. With more leaves than indices,
+        # one map per index gives a column over the leaves (adding s_t = 0
+        # changes nothing, so that column is the row slice itself); with
+        # fewer, as on long vectors, one pass per leaf is cheaper.
+        if 0 < len(idx) < q - a:
+            yield prefix, a, zip(*[map(get[s[t]], mul_t[s[t - 1]][a:]) if s[t]
+                                   else mul_t[s[t - 1]][a:] for t in idx])
+        else:
+            yield prefix, a, [tuple([add_t[s[t]][mx[s[t - 1]]] for t in idx])
+                              for mx in mul_t[a:]]
+
+
 def orbit_rows(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUND
                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Stream (rep, (s_1(rep), ..., s_n(rep))) for every orbit, in lexicographic order.
@@ -52,21 +107,9 @@ def orbit_rows(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUND
     The representatives and their order are those of enumerate_orbits, which
     also enforces the orbit bound.
     """
-    # at n = 1 no product occurs, so the field's tables stay unbuilt
-    step = convolution_step(spec) if n > 1 else lambda values, x: (x,)
-    pads = [(0,) * k for k in range(n + 1)]
-    # prefix[d]: the values of the product over rep[:d]; zeros leave it unchanged
-    prefix = [()] * (n + 1)
-    for rep in enumerate_orbits(spec, n, bound=bound):
-        # rep agrees with its predecessor up to its first copy of rep[-1]
-        d = rep.index(rep[-1])
-        values = prefix[d]
-        for d in range(d, n):
-            x = rep[d]
-            if x:
-                values = step(values, x)
-            prefix[d + 1] = values
-        yield rep, values + pads[n - len(values)]
+    q = spec.q
+    for prefix, a, rows in _leaf_batches(spec, n, tuple(range(1, n + 1)), bound):
+        yield from zip([prefix + (x,) for x in range(a, q)], rows)
 
 
 def _projector(idx: tuple[int, ...]):
@@ -76,7 +119,7 @@ def _projector(idx: tuple[int, ...]):
     return itemgetter(*[t - 1 for t in idx])
 
 
-def _separates(rows: list, project) -> bool:
+def _separates(rows: tuple, project) -> bool:
     """Whether project gives every row its own fingerprint; stops at the first collision."""
     seen = set()
     for fp in map(project, rows):
@@ -86,9 +129,16 @@ def _separates(rows: list, project) -> bool:
     return True
 
 
-def _value_rows(spec: FieldSpec, n: int, bound: int) -> list:
-    """The value vectors of orbit_rows, without their representatives."""
-    return [values for _, values in orbit_rows(spec, n, bound)]
+@lru_cache(maxsize=1)
+def _value_rows(spec: FieldSpec, n: int, bound: int) -> tuple:
+    """The value vectors (s_1, ..., s_n) of every orbit, in walk order.
+
+    The last result is kept, immutable, until a call for another field, n
+    or bound: minsep asks min_separating_size and check_minimal about the
+    same field and n, and so walks once.
+    """
+    batches = _leaf_batches(spec, n, tuple(range(1, n + 1)), bound)
+    return tuple(itertools.chain.from_iterable(rows for _, _, rows in batches))
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int],
@@ -99,18 +149,45 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int],
     met while scanning representatives in lexicographic order: the earliest
     representative carrying the same fingerprint, paired with the current one.
     """
-    project = _projector(normalize_indices(indices, n))
-    seen: dict = {}
-    witness = None
+    idx = normalize_indices(indices, n)
+    q = spec.q
+    seen = set()
     total = 0
-    for rep, values in orbit_rows(spec, n, bound):
-        prev = seen.setdefault(project(values), rep)
-        if prev is not rep and witness is None:
-            witness = (prev, rep)
-        total += 1
-    distinct = len(seen)
-    return SeparationVerdict(separating=distinct == total, witness=witness,
-                             orbit_count=total, fingerprint_count=distinct)
+    collided = None  # (prefix, a, fingerprints) of the first batch with a collision
+    for prefix, a, fps in _leaf_batches(spec, n, idx, bound):
+        if collided is None:  # the witness search needs the first colliding batch
+            fps = list(fps)
+        seen.update(fps)
+        total += q - a
+        if collided is None and len(seen) < total:
+            collided = prefix, a, fps
+    witness = None if collided is None else _first_collision(spec, n, idx, bound, *collided)
+    return SeparationVerdict(separating=witness is None, witness=witness,
+                             orbit_count=total, fingerprint_count=len(seen))
+
+
+def _first_collision(spec: FieldSpec, n: int, idx: tuple[int, ...], bound: int,
+                     last: tuple[int, ...], a_last: int, fps_last: list) -> tuple:
+    """(earlier, rep): the first leaf of batch `last` whose fingerprint occurred before.
+
+    No batch before `last` repeats a fingerprint, so each fingerprint of the
+    batch occurs at most once in them: the re-walk stops at `last` and keeps
+    only the leaves whose fingerprints the batch shares.
+    """
+    wanted = set(fps_last)
+    first = {}
+    for prefix, a, fps in _leaf_batches(spec, n, idx, bound):
+        if prefix == last:
+            break
+        fps = list(fps)
+        for fp in wanted.intersection(fps):
+            first[fp] = prefix + (a + fps.index(fp),)
+    for x, fp in enumerate(fps_last, a_last):
+        rep = last + (x,)
+        earlier = first.setdefault(fp, rep)
+        if earlier is not rep:
+            return earlier, rep
+    raise RuntimeError("the batch was found to repeat a fingerprint, but none repeats")
 
 
 def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int],

@@ -2,6 +2,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepsym import chi
 from sepsym.errors import ParameterError
@@ -70,6 +72,18 @@ def test_bracket_contains_findroot_at_powers_of_ten():
         assert not is_int
         assert c <= lo and hi <= c + 1
         assert hi - lo <= chi.TOL
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(10 ** 6 + 1, 10 ** 15))
+def test_bracket_contains_root_above_table_range(q):
+    # the range of `sepsym chi --q` beyond the table's cap
+    lo, hi, is_int = chi.x0_bracket(q)
+    with mpmath.workdps(40):
+        gap = mp_gap(q)
+        assert gap(lo) < 0 < gap(hi), (q, lo, hi)
+    assert not is_int
+    assert hi - lo <= chi.TOL
 
 
 def test_chi_table_examples():

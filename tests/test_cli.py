@@ -57,10 +57,11 @@ def test_chi_json(capsys):
 
 
 def test_chi_q_cap(capsys):
-    rc, lines = run(capsys, "chi", "--q", str(cli.MAX_TABLE_Q))
+    assert cli.MAX_CHI_Q == 10 ** 15
+    rc, lines = run(capsys, "chi", "--q", str(cli.MAX_CHI_Q))
     assert rc == 0
-    assert lines[2].startswith(f"{cli.MAX_TABLE_Q},")
-    rc, lines = run(capsys, "chi", "--q", str(cli.MAX_TABLE_Q + 1))
+    assert lines[2].startswith(f"{cli.MAX_CHI_Q},17,")
+    rc, lines = run(capsys, "chi", "--q", str(cli.MAX_CHI_Q + 1))
     assert rc == 2
     assert lines == []
 
@@ -214,15 +215,21 @@ def test_classify3_usage(capsys):
     ("classify3", "--n-min", "5", "--n-max", "12"),
     ("classify3", "--n", "9", "--n-min", "3"),
     ("orbits", "--q", "3", "--n", "0"),
+    ("chi", "--q", "1"),
 ])
 def test_usage_error_prints_no_table(capsys, tmp_path, argv):
     rc, lines = run(capsys, *argv)
     assert rc == 2
     assert lines == []
+    # a usage error leaves the --out file as it was, neither created nor emptied
     target = tmp_path / "table.csv"
     rc, _ = run(capsys, *argv, "--out", str(target))
     assert rc == 2
-    assert target.read_text() == ""
+    assert not target.exists()
+    target.write_text("kept\n")
+    rc, _ = run(capsys, *argv, "--out", str(target))
+    assert rc == 2
+    assert target.read_text() == "kept\n"
 
 
 def test_check_sep_preset(capsys):
@@ -281,6 +288,21 @@ def test_minsep_scaled_set_not_separating(capsys, monkeypatch):
     monkeypatch.setattr(separating, "check_minimal", reject)
     rc, _ = run(capsys, "minsep", "--q", "7", "--n", "5")
     assert rc == 2
+
+
+def test_minsep_walks_once(capsys, monkeypatch):
+    walks = []
+    walk = separating._leaf_batches
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(separating, "_leaf_batches", counted)
+    separating._value_rows.cache_clear()
+    rc, lines = run(capsys, "minsep", "--q", "8", "--n", "5")
+    assert (rc, lines[2]) == (0, "8,5,4,4,true,1|2|3|4,5,5")
+    assert len(walks) == 1
 
 
 def test_orbits(capsys):

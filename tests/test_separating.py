@@ -205,3 +205,63 @@ def test_verdicts_match_naive_oracle(q, n):
     if naive_check(spec, n, sq)[0]:
         redundant = naive_redundant(spec, n, sq)
         assert check_minimal(spec, n, sq) == (not redundant, redundant)
+
+
+# The batched walk finds the first collision in the first batch of leaves
+# (one prefix's children) that adds fewer fingerprints than it has leaves.
+# Without index 1 the leaves of the zero prefix already collide with each
+# other; with it, siblings never collide and the first collision is against
+# a leaf of an earlier batch.
+SIBLING_COLLISIONS = [(2, 1, ()), (7, 1, ()), (1024, 1, ()), (5, 2, (2,)), (9, 3, (2, 3)),
+                      (4, 6, (2, 3, 4, 5, 6)), (289, 2, (2,)), (512, 2, (2,))]
+EARLIER_COLLISIONS = [(3, 2, (1,)), (7, 4, (1, 2, 3)), (8, 3, (1, 2)), (16, 3, (1, 2)),
+                      (4, 9, (1, 2, 3, 4, 5, 6)), (289, 2, (1,)), (512, 2, (1,)),
+                      # long vectors, first colliding 37% and 52% of the way into the walk
+                      (3, 14, (1, 2, 3, 5, 6, 7, 14)),
+                      (2, 30, (1, 2, 4, 6, 8, 11, 13, 15, 17, 18, 20, 27, 29))]
+
+
+@pytest.mark.parametrize("q,n,T,siblings",
+                         [(*cell, True) for cell in SIBLING_COLLISIONS]
+                         + [(*cell, False) for cell in EARLIER_COLLISIONS])
+def test_first_collision_matches_naive_oracle(q, n, T, siblings):
+    spec = gf.field_for_order(q)
+    v = check_separating(spec, n, T)
+    assert (v.separating, v.witness, v.orbit_count, v.fingerprint_count) == \
+        naive_check(spec, n, T)
+    earlier, rep = v.witness
+    assert (earlier[:-1] == rep[:-1]) == siblings
+
+
+# n = 1 at list-row and array-row orders, and n = 2 over fields with array
+# table rows, characteristic 2 included.
+@pytest.mark.parametrize("q,n", [(2, 1), (9, 1), (343, 1), (1024, 1),
+                                 (289, 2), (343, 2), (512, 2)])
+def test_presets_match_naive_oracle(q, n):
+    spec = gf.field_for_order(q)
+    for idx in {index_set_nq(n, q, spec.p), tuple(range(1, n + 1))}:
+        v = check_separating(spec, n, idx)
+        assert (v.separating, v.witness, v.orbit_count, v.fingerprint_count) == \
+            naive_check(spec, n, idx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(q, n) for q in TABLE_ORDERS for n in range(1, 12)
+                        if orbit_count(q, n) <= 3000]),
+       st.randoms(use_true_random=False))
+def test_sets_below_gamma_match_naive_oracle(cell, rng):
+    q, n = cell
+    spec = gf.field_for_order(q)
+    T = rng.sample(range(1, n + 1), gamma(q, n) - 1)
+    v = check_separating(spec, n, T)
+    assert not v.separating
+    assert (v.separating, v.witness, v.orbit_count, v.fingerprint_count) == \
+        naive_check(spec, n, T)
+
+
+def test_widest_field_n2_counts():
+    spec = gf.field_for_order(1024)
+    v = check_separating(spec, 2, index_set_nq(2, 1024, 2))
+    assert v.separating
+    assert v.witness is None
+    assert v.orbit_count == v.fingerprint_count == 524_800
