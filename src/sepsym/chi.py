@@ -17,6 +17,7 @@ then each end moves TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -115,18 +116,19 @@ def x0_bracket(q: int):
 def lnln_floor(q: int) -> int:
     """floor(ln(ln q)), with a guard band around integer boundaries.
 
-    When the float value sits within 1e-9 of an integer the floor is
-    re-derived at 50 significant digits so the cutoff cannot be decided by
-    double rounding.
+    When the float value sits within 1e-9 of an integer k, the floor is
+    decided by comparing ln q with e**k in decimal, whose ln and exp are
+    correctly rounded, at 30 digits more than q has, so that neither double
+    rounding nor a rounded q can move the cutoff.
     """
     if q < 2:
         raise ParameterError(f"q must be >= 2, got {q}")
     v = math.log(math.log(q))
-    if abs(v - round(v)) <= _NEAR_INT_BAND:
-        import mpmath
-
-        with mpmath.workdps(50):
-            return int(mpmath.floor(mpmath.log(mpmath.log(q))))
+    k = round(v)
+    if abs(v - k) <= _NEAR_INT_BAND:
+        with decimal.localcontext() as ctx:
+            ctx.prec = len(str(q)) + 30
+            return k if decimal.Decimal(q).ln() >= decimal.Decimal(k).exp() else k - 1
     return math.floor(v)
 
 
@@ -134,8 +136,7 @@ def chi_record(q: int) -> ChiRecord:
     """The full per-q record: exact chi, root bracket, and lower bound."""
     c = chi_exact(q)
     lo, hi, is_int = _bracket(q, c)
-    return ChiRecord(q=q, chi=c, x0_lo=lo, x0_hi=hi, x0_is_integer=is_int,
-                     lower_bound=lnln_floor(q))
+    return ChiRecord(q, c, lo, hi, is_int, lnln_floor(q))
 
 
 def chi_table(q_min: int, q_max: int, jobs: int = 1) -> list[ChiRecord]:

@@ -18,7 +18,7 @@ from importlib import resources
 
 from sepsym import chi, esym, exactcount, f3, gf, separating
 from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
-from sepsym.orbits import DEFAULT_ORBIT_BOUND, enumerate_orbits
+from sepsym.orbits import enumerate_orbits
 
 SCHEMA_TAG = "# sepsym-table v1"
 MAX_TABLE_Q = 10 ** 6
@@ -145,8 +145,6 @@ CHI_COLUMNS = ("q", "chi", "x0_lo", "x0_hi", "x0_is_integer", "lnln_floor")
 def _cmd_gamma(args, stream) -> int:
     q, n = args.q, args.n
     pk = gf.prime_power(q)
-    if args.with_sq and pk is None:
-        raise ParameterError(f"--with-sq requires a prime-power q, got {q}")
     record = {
         "q": q,
         "n": n,
@@ -221,42 +219,28 @@ def _cmd_delta3(args, stream) -> int:
     n_min, n_max = args.n_min, args.n_max
     if n_min < 2 or n_min > n_max:
         raise ParameterError(f"require 2 <= n-min <= n-max, got [{n_min}, {n_max}]")
-    columns = ("n", "delta_exact", "delta_predicted", "kind")
-    writer = None if args.verify else TableWriter(stream, args.format, columns)
+    writer = TableWriter(stream, args.format, ("n", "delta_exact", "delta_predicted", "kind"))
     counts = {}
-    mismatches = []
+    mismatches = 0  # rows written under --verify
     for n in range(n_min, n_max + 1):
         exact = exactcount.delta3(n)
         predicted = f3.predicted_delta3(n)
         counts[exact] = counts.get(exact, 0) + 1
         if args.verify and exact == predicted:
             continue
-        record = {"n": n, "delta_exact": exact, "delta_predicted": predicted,
-                  "kind": f3.classify3(n).kind if n >= 9 else "-"}
-        if args.verify:
-            mismatches.append(record)
-        else:
-            writer.row(record)
+        mismatches += 1
+        writer.row({"n": n, "delta_exact": exact, "delta_predicted": predicted,
+                    "kind": f3.classify3(n).kind if n >= 9 else "-"})
     summary = {"delta0": counts.get(0, 0), "delta1": counts.get(1, 0)}
     if args.verify:
-        writer = TableWriter(stream, args.format, columns)
-        for record in mismatches:
-            writer.row(record)
         summary["verified"] = not mismatches
-        summary["mismatches"] = len(mismatches)
-        writer.summary(summary)
-        return EXIT_VERIFY_FAILED if mismatches else EXIT_OK
+        summary["mismatches"] = mismatches
     writer.summary(summary)
-    return EXIT_OK
+    return EXIT_VERIFY_FAILED if args.verify and mismatches else EXIT_OK
 
 
 def _cmd_classify3(args, stream) -> int:
-    if args.n is not None and args.n_min is None and args.n_max is None:
-        n_min = n_max = args.n
-    elif args.n is None and args.n_min is not None and args.n_max is not None:
-        n_min, n_max = args.n_min, args.n_max
-    else:
-        raise ParameterError("pass either --n or both --n-min and --n-max")
+    n_min, n_max = args.n_min, args.n_max
     if n_min > n_max:
         raise ParameterError(f"require n-min <= n-max, got [{n_min}, {n_max}]")
     f3.classify3(n_min)  # rejects n_min < 9 before any output
@@ -282,7 +266,7 @@ def _cmd_check_sep(args, stream) -> int:
     field = gf.field_for_order(args.q)
     n = args.n
     indices = _select_indices(args, field, n)
-    verdict = separating.check_separating(field, n, indices, bound=args.orbit_bound)
+    verdict = separating.check_separating(field, n, indices)
     writer = TableWriter(stream, args.format,
                          ("q", "n", "T", "separating", "orbit_count",
                           "fingerprint_count", "witness_a", "witness_b"))
@@ -303,11 +287,11 @@ def _cmd_check_sep(args, stream) -> int:
 def _cmd_minsep(args, stream) -> int:
     field = gf.field_for_order(args.q)
     n = args.n
-    size, witness = separating.min_separating_size(field, n, bound=args.orbit_bound)
+    size, witness = separating.min_separating_size(field, n)
     g = exactcount.gamma(field.q, n)
     sq = esym.index_set_nq(n, field.q, field.p)
     try:
-        _, redundant = separating.check_minimal(field, n, sq, bound=args.orbit_bound)
+        _, redundant = separating.check_minimal(field, n, sq)
         sq_redundant = _join(redundant)
     except NotSeparatingError:
         sq_redundant = None
@@ -329,7 +313,7 @@ def _cmd_minsep(args, stream) -> int:
 
 def _cmd_orbits(args, stream) -> int:
     field = gf.field_for_order(args.q)
-    reps = enumerate_orbits(field, args.n, bound=args.orbit_bound)
+    reps = enumerate_orbits(field, args.n)
     writer = TableWriter(stream, args.format, ("rep",))
     total = 0
     for rep in reps:
@@ -357,8 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gamma", help="orbit count and the least conceivable separating size")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--with-sq", action="store_true", dest="with_sq",
-                   help="require the power-scaled set columns (prime-power q only)")
     _add_common(p)
     p.set_defaults(func=_cmd_gamma)
 
@@ -387,9 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_delta3)
 
     p = subs.add_parser("classify3", help="five-window classification for n >= 9")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-min", type=int, default=None, dest="n_min")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max")
+    p.add_argument("--n-min", type=int, required=True, dest="n_min")
+    p.add_argument("--n-max", type=int, required=True, dest="n_max")
     _add_common(p)
     p.set_defaults(func=_cmd_classify3)
 
@@ -400,24 +381,18 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--T", help="comma-separated indices, e.g. 1,2,4")
     group.add_argument("--preset", choices=("sq", "full"),
                        help="sq: the power-scaled set; full: all of 1..n")
-    p.add_argument("--orbit-bound", type=int, default=DEFAULT_ORBIT_BOUND,
-                   dest="orbit_bound")
     _add_common(p)
     p.set_defaults(func=_cmd_check_sep)
 
     p = subs.add_parser("minsep", help="smallest separating subset size by exhaustive search")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--orbit-bound", type=int, default=DEFAULT_ORBIT_BOUND,
-                   dest="orbit_bound")
     _add_common(p)
     p.set_defaults(func=_cmd_minsep)
 
     p = subs.add_parser("orbits", help="stream the canonical orbit representatives")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--orbit-bound", type=int, default=DEFAULT_ORBIT_BOUND,
-                   dest="orbit_bound")
     _add_common(p)
     p.set_defaults(func=_cmd_orbits)
 

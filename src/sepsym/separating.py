@@ -22,8 +22,9 @@ the columns gives the fingerprints; otherwise, as on long vectors, where
 most batches hold one or two leaves, one pass per leaf is cheaper.
 
 check_separating streams the walk and keeps only the set of distinct
-fingerprints; a batch that adds fewer fingerprints than it has leaves holds
-the first collision, whose witness one re-walk up to that batch recovers.
+fingerprints. When the set ends smaller than the number of orbits, a second
+walk maps each fingerprint to the first leaf that has it and stops at the
+first leaf whose fingerprint is already mapped: that pair is the witness.
 check_minimal and min_separating_size hold one value tuple per orbit;
 every index set they try is a projection of those rows, scanned only up to
 its first collision. The last such walk is kept, so that minsep, which asks
@@ -44,7 +45,7 @@ from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 from sepsym.esym import convolution_step, esym_all, normalize_indices  # noqa: F401
 from sepsym.exactcount import gamma
 from sepsym.gf import FieldSpec
-from sepsym.orbits import DEFAULT_ORBIT_BOUND, enumerate_orbits
+from sepsym.orbits import enumerate_orbits
 
 MAX_SUBSET_SEARCH_N = 16
 
@@ -57,7 +58,7 @@ class SeparationVerdict:
     fingerprint_count: int
 
 
-def _leaf_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], bound: int
+def _leaf_batches(spec: FieldSpec, n: int, idx: tuple[int, ...]
                   ) -> Iterator[tuple[tuple[int, ...], int, Iterable[tuple[int, ...]]]]:
     """Stream (prefix, a, fingerprints) for every prefix of length n - 1, in lexicographic order.
 
@@ -66,7 +67,7 @@ def _leaf_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], bound: int
     (s_t for t in idx) of each, in that order, once. The orbit bound is that
     of enumerate_orbits.
     """
-    enumerate_orbits(spec, n, bound)  # checks n and the orbit bound
+    enumerate_orbits(spec, n)  # checks n and the orbit bound
     q = spec.q
     if n == 1:  # no product: s_1 is the leaf itself, and the tables stay unbuilt
         yield (), 0, [(x,) * len(idx) for x in range(q)]
@@ -100,18 +101,6 @@ def _leaf_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], bound: int
                               for mx in mul_t[a:]]
 
 
-def orbit_rows(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUND
-               ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Stream (rep, (s_1(rep), ..., s_n(rep))) for every orbit, in lexicographic order.
-
-    The representatives and their order are those of enumerate_orbits, which
-    also enforces the orbit bound.
-    """
-    q = spec.q
-    for prefix, a, rows in _leaf_batches(spec, n, tuple(range(1, n + 1)), bound):
-        yield from zip([prefix + (x,) for x in range(a, q)], rows)
-
-
 def _projector(idx: tuple[int, ...]):
     """Map a value vector to its fingerprint on the sorted index set idx."""
     if not idx:
@@ -130,19 +119,18 @@ def _separates(rows: tuple, project) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _value_rows(spec: FieldSpec, n: int, bound: int) -> tuple:
+def _value_rows(spec: FieldSpec, n: int) -> tuple:
     """The value vectors (s_1, ..., s_n) of every orbit, in walk order.
 
-    The last result is kept, immutable, until a call for another field, n
-    or bound: minsep asks min_separating_size and check_minimal about the
-    same field and n, and so walks once.
+    The last result is kept, immutable, until a call for another field or
+    n: minsep asks min_separating_size and check_minimal about the same
+    field and n, and so walks once.
     """
-    batches = _leaf_batches(spec, n, tuple(range(1, n + 1)), bound)
+    batches = _leaf_batches(spec, n, tuple(range(1, n + 1)))
     return tuple(itertools.chain.from_iterable(rows for _, _, rows in batches))
 
 
-def check_separating(spec: FieldSpec, n: int, indices: Iterable[int],
-                     bound: int = DEFAULT_ORBIT_BOUND) -> SeparationVerdict:
+def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
     """Test injectivity of the fingerprint map over every orbit representative.
 
     The witness, present iff the verdict is negative, is the first collision
@@ -153,52 +141,37 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int],
     q = spec.q
     seen = set()
     total = 0
-    collided = None  # (prefix, a, fingerprints) of the first batch with a collision
-    for prefix, a, fps in _leaf_batches(spec, n, idx, bound):
-        if collided is None:  # the witness search needs the first colliding batch
-            fps = list(fps)
+    for _, a, fps in _leaf_batches(spec, n, idx):
         seen.update(fps)
         total += q - a
-        if collided is None and len(seen) < total:
-            collided = prefix, a, fps
-    witness = None if collided is None else _first_collision(spec, n, idx, bound, *collided)
+    witness = None if len(seen) == total else _first_collision(spec, n, idx)
     return SeparationVerdict(separating=witness is None, witness=witness,
                              orbit_count=total, fingerprint_count=len(seen))
 
 
-def _first_collision(spec: FieldSpec, n: int, idx: tuple[int, ...], bound: int,
-                     last: tuple[int, ...], a_last: int, fps_last: list) -> tuple:
-    """(earlier, rep): the first leaf of batch `last` whose fingerprint occurred before.
+def _first_collision(spec: FieldSpec, n: int, idx: tuple[int, ...]) -> tuple:
+    """(earlier, rep) of a non-separating idx, in walk order.
 
-    No batch before `last` repeats a fingerprint, so each fingerprint of the
-    batch occurs at most once in them: the re-walk stops at `last` and keeps
-    only the leaves whose fingerprints the batch shares.
+    rep is the first leaf whose fingerprint an earlier leaf has, and earlier
+    is the first leaf with that fingerprint.
     """
-    wanted = set(fps_last)
     first = {}
-    for prefix, a, fps in _leaf_batches(spec, n, idx, bound):
-        if prefix == last:
-            break
-        fps = list(fps)
-        for fp in wanted.intersection(fps):
-            first[fp] = prefix + (a + fps.index(fp),)
-    for x, fp in enumerate(fps_last, a_last):
-        rep = last + (x,)
-        earlier = first.setdefault(fp, rep)
-        if earlier is not rep:
-            return earlier, rep
-    raise RuntimeError("the batch was found to repeat a fingerprint, but none repeats")
+    for prefix, a, fps in _leaf_batches(spec, n, idx):
+        for x, fp in enumerate(fps, a):
+            rep = prefix + (x,)
+            earlier = first.setdefault(fp, rep)
+            if earlier is not rep:
+                return earlier, rep
 
 
-def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int],
-                  bound: int = DEFAULT_ORBIT_BOUND):
+def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int]):
     """(is_minimal, redundant): whether no single index can be dropped.
 
     Requires a separating input set, else raises NotSeparatingError; each
     index whose removal leaves the set separating is reported as redundant.
     """
     idx = normalize_indices(indices, n)
-    rows = _value_rows(spec, n, bound)
+    rows = _value_rows(spec, n)
     if not _separates(rows, _projector(idx)):
         raise NotSeparatingError("minimality is defined only for separating sets")
     redundant = [t for t in idx
@@ -206,7 +179,7 @@ def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int],
     return (not redundant, redundant)
 
 
-def min_separating_size(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUND):
+def min_separating_size(spec: FieldSpec, n: int):
     """Smallest size of a separating index subset, with the first witness.
 
     Sizes are tried in ascending order starting at gamma(q, n); sets below
@@ -219,7 +192,7 @@ def min_separating_size(spec: FieldSpec, n: int, bound: int = DEFAULT_ORBIT_BOUN
     if n > MAX_SUBSET_SEARCH_N:
         raise ScaleError(
             f"subset search over {{1..{n}}} exceeds the bound n <= {MAX_SUBSET_SEARCH_N}")
-    rows = _value_rows(spec, n, bound)
+    rows = _value_rows(spec, n)
     for k in range(gamma(spec.q, n), n + 1):
         for T in itertools.combinations(range(1, n + 1), k):
             if _separates(rows, _projector(T)):

@@ -15,18 +15,24 @@ GRID_CELLS = [(q, n) for q, top in sorted(BRUTE_GRID.items())
               for n in range(1, top + 1)]
 
 
+MP_GAP_DPS = 40
+
+
 def mp_gap(q):
-    """x -> (x-1)*ln(q) - sum_{i<q} ln(x/i + 1) in mpmath at the working precision.
+    """x -> (x-1)*ln(q) - sum_{i<q} ln(x/i + 1) in mpmath at MP_GAP_DPS digits.
 
     The sum is lgamma(x+q) - lgamma(x+1) - lgamma(q), the cancelling form;
     at 40 digits it still leaves an error below 1e-20 for q <= 10^15. A
-    float x is taken exactly.
+    float x is taken exactly. Both the constants and each evaluation take
+    their own precision, whatever the caller has set.
     """
-    ln_q, lg_q = mpmath.log(q), mpmath.loggamma(q)
+    with mpmath.workdps(MP_GAP_DPS):
+        ln_q, lg_q = mpmath.log(q), mpmath.loggamma(q)
 
     def gap(x):
-        x = mpmath.mpf(x)
-        return (x - 1) * ln_q - (mpmath.loggamma(x + q) - mpmath.loggamma(x + 1) - lg_q)
+        with mpmath.workdps(MP_GAP_DPS):
+            x = mpmath.mpf(x)
+            return (x - 1) * ln_q - (mpmath.loggamma(x + q) - mpmath.loggamma(x + 1) - lg_q)
     return gap
 
 

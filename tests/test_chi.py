@@ -79,9 +79,8 @@ def test_bracket_contains_findroot_at_powers_of_ten():
 def test_bracket_contains_root_above_table_range(q):
     # the range of `sepsym chi --q` beyond the table's cap
     lo, hi, is_int = chi.x0_bracket(q)
-    with mpmath.workdps(40):
-        gap = mp_gap(q)
-        assert gap(lo) < 0 < gap(hi), (q, lo, hi)
+    gap = mp_gap(q)
+    assert gap(lo) < 0 < gap(hi), (q, lo, hi)
     assert not is_int
     assert hi - lo <= chi.TOL
 
@@ -123,6 +122,18 @@ def test_lnln_examples():
     assert chi.chi_exact(2) >= chi.lnln_floor(2)
     assert chi.chi_exact(10_000) >= chi.lnln_floor(10_000)
     assert chi.chi_exact(5019) >= chi.lnln_floor(5019)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_lnln_floor_below_a_threshold_with_more_digits_than_the_float_recheck(k):
+    # q = ceil(e^(e^k)) - 1 has 65 (k = 5) and 176 (k = 6) digits, so ln ln q
+    # sits just below k; the thresholds come from mpmath at 400 digits
+    with mpmath.workdps(400):
+        q = int(mpmath.ceil(mpmath.e ** mpmath.e ** k)) - 1
+        assert mpmath.floor(mpmath.log(mpmath.log(q))) == k - 1
+        assert mpmath.floor(mpmath.log(mpmath.log(q + 1))) == k
+    assert chi.lnln_floor(q) == k - 1
+    assert chi.lnln_floor(q + 1) == k
 
 
 def test_technical_expression_examples():

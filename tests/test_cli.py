@@ -42,7 +42,7 @@ def test_gamma_non_prime_power(capsys):
     rc, lines = run(capsys, "gamma", "--q", "6", "--n", "4")
     assert rc == 0
     assert lines[2] == "6,4,126,3,,,"
-    rc, _ = run(capsys, "gamma", "--q", "6", "--n", "4", "--with-sq")
+    rc, _ = run(capsys, "gamma", "--q", "1", "--n", "4")
     assert rc == 2
 
 
@@ -188,7 +188,7 @@ def test_delta3_validation(capsys):
 
 
 def test_classify3_single(capsys):
-    rc, lines = run(capsys, "classify3", "--n", "20", "--format", "json")
+    rc, lines = run(capsys, "classify3", "--n-min", "20", "--n-max", "20", "--format", "json")
     assert rc == 0
     row = json_rows(lines)[0]
     assert row["kind"] == "D"
@@ -207,13 +207,13 @@ def test_classify3_usage(capsys):
     assert rc == 2
     rc, _ = run(capsys, "classify3", "--n-min", "9")
     assert rc == 2
-    rc, _ = run(capsys, "classify3", "--n", "8")
+    rc, _ = run(capsys, "classify3", "--n-min", "8", "--n-max", "8")
     assert rc == 2
 
 
 @pytest.mark.parametrize("argv", [
     ("classify3", "--n-min", "5", "--n-max", "12"),
-    ("classify3", "--n", "9", "--n-min", "3"),
+    ("classify3", "--n-min", "12", "--n-max", "9"),
     ("orbits", "--q", "3", "--n", "0"),
     ("chi", "--q", "1"),
 ])
@@ -313,8 +313,9 @@ def test_orbits(capsys):
 
 
 def test_orbit_bound(capsys):
-    rc, _ = run(capsys, "orbits", "--q", "3", "--n", "9", "--orbit-bound", "10")
-    assert rc == 2
+    # binom(1026, 3) > 10^7 orbits: refused before the first row
+    rc, lines = run(capsys, "orbits", "--q", "1024", "--n", "3")
+    assert (rc, lines) == (2, [])
 
 
 def test_out_file(tmp_path, capsys):

@@ -48,9 +48,11 @@ def test_sorting_invariance_random():
 
 
 def test_scale_bound():
-    F3 = gf.field_for_order(3)
+    # binom(n + 1, 1) = n + 1 orbits over F_2; the stream is not iterated
+    F2 = gf.field_for_order(2)
+    enumerate_orbits(F2, 9_999_999)
     with pytest.raises(ScaleError):
-        enumerate_orbits(F3, 9, bound=10)
+        enumerate_orbits(F2, 10_000_000)
     F9 = gf.field_for_order(9)
     with pytest.raises(ScaleError):
         enumerate_orbits(F9, 30)  # binom(38, 8) > 10^7

@@ -11,10 +11,10 @@ from sepsym.esym import esym_all, index_set_nq
 from sepsym.exactcount import gamma, orbit_count
 from sepsym.orbits import enumerate_orbits
 from sepsym.separating import (
+    _value_rows,
     check_minimal,
     check_separating,
     min_separating_size,
-    orbit_rows,
 )
 from support import GRID_CELLS, naive_check, naive_min_size, naive_redundant
 
@@ -151,7 +151,7 @@ def test_scale_and_parameter_errors():
         check_separating(F2, 3, (4,))
     F9 = gf.field_for_order(9)
     with pytest.raises(ScaleError):
-        check_separating(F9, 5, (1,), bound=100)
+        check_separating(F9, 30, (1,))  # binom(38, 8) > 10^7 orbits
 
 
 def test_exhaustive_small_subsets_q2_n4():
@@ -187,7 +187,7 @@ def test_orbit_rows_match_esym_all(cell):
     q, n = cell
     spec = gf.field_for_order(q)
     want = [(rep, esym_all(rep, spec)) for rep in enumerate_orbits(spec, n)]
-    assert list(orbit_rows(spec, n)) == want
+    assert list(zip(enumerate_orbits(spec, n), _value_rows(spec, n), strict=True)) == want
 
 
 @pytest.mark.parametrize("q,n", ORACLE_CELLS)
@@ -207,11 +207,11 @@ def test_verdicts_match_naive_oracle(q, n):
         assert check_minimal(spec, n, sq) == (not redundant, redundant)
 
 
-# The batched walk finds the first collision in the first batch of leaves
-# (one prefix's children) that adds fewer fingerprints than it has leaves.
-# Without index 1 the leaves of the zero prefix already collide with each
-# other; with it, siblings never collide and the first collision is against
-# a leaf of an earlier batch.
+# The witness pairs the first leaf, in walk order, whose fingerprint an
+# earlier leaf has with the first leaf that has it. Without index 1 the
+# leaves of the zero prefix (one batch of siblings) already collide with
+# each other; with it, siblings never collide and the first collision is
+# against a leaf of an earlier batch.
 SIBLING_COLLISIONS = [(2, 1, ()), (7, 1, ()), (1024, 1, ()), (5, 2, (2,)), (9, 3, (2, 3)),
                       (4, 6, (2, 3, 4, 5, 6)), (289, 2, (2,)), (512, 2, (2,))]
 EARLIER_COLLISIONS = [(3, 2, (1,)), (7, 4, (1, 2, 3)), (8, 3, (1, 2)), (16, 3, (1, 2)),
