@@ -222,15 +222,13 @@ def _cmd_delta3(args, stream) -> int:
     writer = TableWriter(stream, args.format, ("n", "delta_exact", "delta_predicted", "kind"))
     counts = {}
     mismatches = 0  # rows written under --verify
-    for n in range(n_min, n_max + 1):
-        exact = exactcount.delta3(n)
-        predicted = f3.predicted_delta3(n)
+    for exact, (n, kind, predicted) in zip(exactcount.delta3_range(n_min, n_max),
+                                           f3.predicted_delta3_range(n_min, n_max)):
         counts[exact] = counts.get(exact, 0) + 1
         if args.verify and exact == predicted:
             continue
         mismatches += 1
-        writer.row({"n": n, "delta_exact": exact, "delta_predicted": predicted,
-                    "kind": f3.classify3(n).kind if n >= 9 else "-"})
+        writer.row({"n": n, "delta_exact": exact, "delta_predicted": predicted, "kind": kind})
     summary = {"delta0": counts.get(0, 0), "delta1": counts.get(1, 0)}
     if args.verify:
         summary["verified"] = not mismatches
@@ -243,14 +241,11 @@ def _cmd_classify3(args, stream) -> int:
     n_min, n_max = args.n_min, args.n_max
     if n_min > n_max:
         raise ParameterError(f"require n-min <= n-max, got [{n_min}, {n_max}]")
-    f3.classify3(n_min)  # rejects n_min < 9 before any output
-    writer = TableWriter(stream, args.format,
-                         ("n", "r", "kind", "alpha", "beta", "delta", "delta_predicted"))
-    for n in range(n_min, n_max + 1):
-        c = f3.classify3(n)
-        writer.row({"n": c.n, "r": c.r, "kind": c.kind, "alpha": c.alpha,
-                    "beta": c.beta, "delta": c.delta,
-                    "delta_predicted": c.predicted_delta})
+    rows = f3.classify3_range(n_min, n_max)  # rejects n_min < 9 before any output
+    columns = ("n", "r", "kind", "alpha", "beta", "delta", "delta_predicted")
+    writer = TableWriter(stream, args.format, columns)
+    for row in rows:
+        writer.row(dict(zip(columns, row)))
     return EXIT_OK
 
 

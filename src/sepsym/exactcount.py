@@ -8,6 +8,7 @@ point is used anywhere in this module.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 from sepsym.errors import ParameterError
 from sepsym.esym import index_set_nq
@@ -56,14 +57,42 @@ def size_sq(q: int, p: int, n: int) -> int:
     return len(index_set_nq(n, q, p))
 
 
+def delta3_range(n_min: int, n_max: int):
+    """The defects delta3(n) for n = n_min, ..., n_max, in order, as one upward sweep.
+
+    Works from the definitions only, with O(1) amortised work per n: a
+    pointer into index_set_nq(n_max, 3, 3) counts the scaled indices <= n,
+    the orbit count binom(n+2, 2) grows by n+1 at each step, and
+    power = 3**k is multiplied by 3 while it is below the orbit count, so
+    k = gamma(3, n). An empty range yields nothing.
+    """
+    if n_min < 2:
+        raise ParameterError(f"the defect is defined for n >= 2, got {n_min}")
+    return _delta3_sweep(n_min, n_max)
+
+
+def _delta3_sweep(n_min: int, n_max: int):
+    indices = index_set_nq(max(n_min, n_max), 3, 3)
+    size = bisect_right(indices, n_min - 1)
+    last = len(indices)
+    orbits = orbit_count(3, n_min - 1)
+    k, power = 0, 1
+    for n in range(n_min, n_max + 1):
+        orbits += n + 1
+        while power < orbits:
+            power *= 3
+            k += 1
+        if size < last and indices[size] <= n:
+            size += 1
+        d = size - k
+        if d < 0:
+            raise RuntimeError(f"negative defect at n={n}: set size fell below gamma")
+        yield d
+
+
 def delta3(n: int) -> int:
     """Defect of the ternary family: size_sq(3, 3, n) - gamma(3, n), exact."""
-    if n < 2:
-        raise ParameterError(f"the defect is defined for n >= 2, got {n}")
-    d = size_sq(3, 3, n) - gamma(3, n)
-    if d < 0:
-        raise RuntimeError(f"negative defect at n={n}: set size fell below gamma")
-    return d
+    return next(delta3_range(n, n))
 
 
 def least_possible_criterion(q: int, n: int) -> bool:

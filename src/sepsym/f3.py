@@ -18,10 +18,19 @@ For n >= 9, with r chosen so that a_{2r} <= n < a_{2r+2}, the five windows
 
 carry the term triples below, and the predicted defect is their sum,
 1 on A and D and 0 on B, C, E. For 2 <= n <= 8 the defect is constantly 0.
+
+A range of n is classified in one upward sweep. The four window starts of
+a band r, the least integers n >= b_{2r}, a_{2r+1}, 2*3**r and b_{2r+1},
+are computed once with math.isqrt and each is confirmed by the exact
+comparison at t and t - 1; every n is then placed by comparing it with
+those integers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 from sepsym.errors import ParameterError
@@ -99,34 +108,77 @@ class F3Class:
     predicted_delta: int
 
 
+def _certified_start(t: int, cmp, r: int) -> int:
+    """t, after checking that it is the least n with cmp(n, r) >= 0."""
+    if cmp(t, r) < 0 or cmp(t - 1, r) >= 0:
+        raise RuntimeError(f"window start {t} for r={r} is not the least n >= the boundary")
+    return t
+
+
+@functools.cache
+def window_starts(r: int) -> tuple[int, int, int, int, int, int]:
+    """(3**r, start of B, C, D, E, 3**(r+1)) for the band 3**r <= n < 3**(r+1), r >= 1.
+
+    Window A runs from the first entry to the second, ..., E from the fifth
+    to the last. The starts of B and E are the least n with (2n+3)**2 >=
+    8*3**s + 1 (s = 2r, 2r+1), that of C the least n with n*n >= 3**(2r+1).
+    Kept per r, so later sweeps and per-n calls in the same band reuse them.
+    """
+    if r < 1:
+        raise ParameterError(f"window starts are defined for r >= 1, got {r}")
+    power = 3 ** r
+
+    def b_start(s):
+        # (2n+3)**2 >= 8*3**s + 1 iff 2n + 3 >= c = ceil(sqrt(8*3**s + 1))
+        c = math.isqrt(8 * 3 ** s) + 1
+        return _certified_start((c - 2) // 2, cmp_br, s)
+
+    a_start = _certified_start(math.isqrt(3 * power * power - 1) + 1, cmp_ar, 2 * r + 1)
+    return power, b_start(2 * r), a_start, 2 * power, b_start(2 * r + 1), 3 * power
+
+
+def classify3_range(n_min: int, n_max: int):
+    """(n, r, kind, alpha, beta, delta, predicted_delta) for n = n_min, ..., n_max >= 9, in order.
+
+    The fields of F3Class, as plain tuples; an empty range yields nothing.
+    """
+    if n_min < 9:
+        raise ParameterError(
+            f"interval classification applies for n >= 9; got {n_min} (the defect is 0 below 9)")
+    return _classify_sweep(n_min, n_max)
+
+
+def _classify_sweep(n_min: int, n_max: int):
+    n = n_min
+    r = floor_log(3, n)
+    while n <= n_max:
+        ends = window_starts(r)[1:]
+        for kind, end in zip("ABCDE", ends):
+            alpha, beta, delta = KIND_TERMS[kind]
+            predicted = alpha + beta + delta
+            for m in range(n, min(end, n_max + 1)):
+                yield m, r, kind, alpha, beta, delta, predicted
+            n = max(n, end)
+        r += 1
+
+
 def classify3(n: int) -> F3Class:
     """Locate n >= 9 in the five-window partition and read off the defect terms."""
-    if n < 9:
-        raise ParameterError(
-            f"interval classification applies for n >= 9; got {n} (the defect is 0 below 9)")
-    r = floor_log(3, n)
-    if cmp_br(n, 2 * r) < 0:
-        kind = "A"
-    elif cmp_ar(n, 2 * r + 1) < 0:
-        kind = "B"
-    elif n < 2 * 3 ** r:
-        kind = "C"
-    elif cmp_br(n, 2 * r + 1) < 0:
-        kind = "D"
-    else:
-        kind = "E"
-    alpha, beta, delta = KIND_TERMS[kind]
-    return F3Class(n=n, r=r, kind=kind, alpha=alpha, beta=beta, delta=delta,
-                   predicted_delta=alpha + beta + delta)
+    return F3Class(*next(classify3_range(n, n)))
+
+
+def predicted_delta3_range(n_min: int, n_max: int):
+    """(n, kind, predicted_delta) for n = n_min, ..., n_max >= 2; kind is "-" below 9."""
+    if n_min < 2:
+        raise ParameterError(f"the defect is defined for n >= 2, got {n_min}")
+    small = ((n, "-", 0) for n in range(n_min, min(n_max, 8) + 1))
+    return itertools.chain(small, ((n, kind, predicted) for n, _, kind, _, _, _, predicted
+                                   in _classify_sweep(max(n_min, 9), n_max)))
 
 
 def predicted_delta3(n: int) -> int:
     """Interval prediction of the defect: constantly 0 for 2 <= n <= 8, classified above."""
-    if n < 2:
-        raise ParameterError(f"the defect is defined for n >= 2, got {n}")
-    if n <= 8:
-        return 0
-    return classify3(n).predicted_delta
+    return next(predicted_delta3_range(n, n))[2]
 
 
 def boundary_chain_ok(r: int) -> bool:

@@ -142,3 +142,17 @@ def interval_beta(n):
         r += 1
     below_b = (2 * n + 3) ** 2 < 8 * 3 ** r + 1
     return 0 if below_b else -1
+
+
+def naive_delta3(n):
+    """#{j * 3**m <= n : j in {1, 2}} - gamma(3, n), from a set and a plain comb loop.
+
+    gamma(3, n) is the number of powers of 3 below binom(n+2, 2); those
+    powers also cover every 3**m <= n.
+    """
+    orbits = math.comb(n + 2, 2)
+    powers = [1]
+    while powers[-1] < orbits:
+        powers.append(3 * powers[-1])
+    scaled = {j * t for j in (1, 2) for t in powers if j * t <= n}
+    return len(scaled) - (len(powers) - 1)

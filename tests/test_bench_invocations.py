@@ -1,7 +1,8 @@
-"""The benchmark's invocations against the CLI's parser.
+"""The benchmark's invocations and its tracer against the program.
 
 An option the CLI drops but a workload still passes would show up only as
-failed operations in a benchmark run; this test fails first.
+failed operations in a benchmark run, and a function renamed under the
+tracer only as a broken traced run; these tests fail first.
 """
 
 import json
@@ -28,3 +29,18 @@ def test_every_workload_invocation_parses(monkeypatch):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"sepsym {' '.join(argv)} no longer parses")
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layers
+
+    from sepsym import exactcount, f3
+
+    originals = (cli.main, exactcount.size_sq, f3.floor_log, f3.delta_small_of)
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert (cli.main, exactcount.size_sq, f3.floor_log, f3.delta_small_of) == originals

@@ -9,6 +9,7 @@ import pytest
 import sepsym
 from sepsym import chi, cli, f3, separating
 from sepsym.errors import NotSeparatingError, ParameterError
+from support import naive_delta3
 
 # The checkout's src directory, so that child interpreters run the same code.
 SRC = str(pathlib.Path(sepsym.__file__).resolve().parents[1])
@@ -174,12 +175,40 @@ def test_delta3_verify_ok(capsys):
 
 
 def test_delta3_verify_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(f3, "predicted_delta3", lambda n: 0)
+    # the CLI reads the prediction sweep; zero its predictions, keep its kinds
+    sweep = f3.predicted_delta3_range
+    monkeypatch.setattr(f3, "predicted_delta3_range",
+                        lambda lo, hi: ((n, kind, 0) for n, kind, _ in sweep(lo, hi)))
     rc, lines = run(capsys, "delta3", "--n-min", "9", "--n-max", "11", "--verify")
     assert rc == 1
     assert any("mismatches=3" in line for line in lines)
-    # the kind column is computed only for the rows written
+    # the kind column of a mismatch row comes from the prediction tuple
     assert lines[2:5] == ["9,1,0,A", "10,1,0,A", "11,1,0,A"]
+
+
+def test_delta3_verify_reach_1e6(capsys):
+    # ten times the exhaustive range of acceptance criterion 2, in about a second
+    rc, lines = run(capsys, "delta3", "--n-min", "2", "--n-max", "1000000", "--verify")
+    assert rc == 0
+    assert lines == [cli.SCHEMA_TAG, "n,delta_exact,delta_predicted,kind",
+                     "# delta0=550389 delta1=449610 verified=true mismatches=0"]
+
+
+def test_delta3_and_classify3_rows_match_oracles(capsys):
+    classes = {n: f3.classify3(n) for n in range(9, 3001)}
+    exact = [naive_delta3(n) for n in range(2, 3001)]
+    rows = [f"{n},{d},{classes[n].predicted_delta if n >= 9 else 0},"
+            f"{classes[n].kind if n >= 9 else '-'}" for n, d in zip(range(2, 3001), exact)]
+    rc, lines = run(capsys, "delta3", "--n-min", "2", "--n-max", "3000")
+    assert rc == 0
+    assert lines == [cli.SCHEMA_TAG, "n,delta_exact,delta_predicted,kind", *rows,
+                     f"# delta0={exact.count(0)} delta1={exact.count(1)}"]
+    rc, lines = run(capsys, "classify3", "--n-min", "9", "--n-max", "3000", "--format", "json")
+    assert rc == 0
+    assert lines == [json.dumps({"n": c.n, "r": c.r, "kind": c.kind, "alpha": c.alpha,
+                                 "beta": c.beta, "delta": c.delta,
+                                 "delta_predicted": c.predicted_delta})
+                     for c in classes.values()]
 
 
 def test_delta3_validation(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from sepsym import f3
 from sepsym.errors import ParameterError
 from sepsym.esym import index_set_nq
-from sepsym.exactcount import delta3, floor_log
-from support import interval_alpha, interval_beta
+from sepsym.exactcount import delta3, delta3_range, floor_log
+from support import interval_alpha, interval_beta, naive_delta3
 
 KIND_ORDER = {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
 
@@ -194,3 +195,71 @@ def test_delta3_matches_prediction_at_window_boundaries():
 @given(st.integers(min_value=2, max_value=10 ** 60))
 def test_delta3_matches_prediction_up_to_1e60(n):
     assert delta3(n) == f3.predicted_delta3(n)
+
+
+def _assert_sweeps_match(lo, hi):
+    """Both sweeps over [lo, hi] against the independent oracle and the per-n functions."""
+    ns = range(lo, hi + 1)
+    exact = list(delta3_range(lo, hi))
+    assert exact == [naive_delta3(n) for n in ns]
+    assert exact == [delta3(n) for n in ns]
+    predicted = list(f3.predicted_delta3_range(lo, hi))
+    assert [p for _, _, p in predicted] == exact
+    assert predicted == [(n, f3.classify3(n).kind if n >= 9 else "-", f3.predicted_delta3(n))
+                         for n in ns]
+    if hi >= 9:
+        lo9 = max(lo, 9)
+        assert list(f3.classify3_range(lo9, hi)) == [dataclasses.astuple(f3.classify3(n))
+                                                     for n in range(lo9, hi + 1)]
+
+
+def test_sweeps_across_every_window_edge_up_to_r_60():
+    # windows straddling 3^r, 2*3^r, ceil(a_r) and ceil(b_r), so every sweep
+    # crosses a band or window edge inside its range
+    for r in range(61):
+        t = 3 ** r
+        for centre in (t, 2 * t, math.isqrt(t), (math.isqrt(8 * t + 1) - 3) // 2):
+            _assert_sweeps_match(max(2, centre - 5), centre + 5)
+    # a sweep over several whole bands
+    _assert_sweeps_match(2, 3 ** 8 + 7)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=10 ** 60), st.integers(min_value=0, max_value=3000))
+def test_sweeps_on_random_windows_up_to_1e60(a, length):
+    _assert_sweeps_match(a, a + length)
+
+
+def test_range_validation_and_empty_ranges():
+    # a bad lower end is refused when the sweep is made, before any value
+    with pytest.raises(ParameterError):
+        delta3_range(1, 5)
+    with pytest.raises(ParameterError):
+        f3.predicted_delta3_range(1, 5)
+    with pytest.raises(ParameterError):
+        f3.classify3_range(8, 20)
+    assert list(delta3_range(10, 9)) == []
+    assert list(f3.predicted_delta3_range(10, 9)) == []
+    assert list(f3.classify3_range(10, 9)) == []
+
+
+def test_window_starts_are_certified_and_ordered():
+    for r in range(1, 401):
+        power = 3 ** r
+        starts = f3.window_starts(r)
+        a, b, c, d, e, end = starts
+        assert (a, d, end) == (power, 2 * power, 3 * power)
+        for t, cmp, s in ((b, f3.cmp_br, 2 * r), (c, f3.cmp_ar, 2 * r + 1),
+                          (e, f3.cmp_br, 2 * r + 1)):
+            assert cmp(t, s) >= 0 and cmp(t - 1, s) < 0
+        assert power <= a <= b <= c <= d <= e < end
+    with pytest.raises(ParameterError):
+        f3.window_starts(0)
+
+
+def test_uncertified_window_start_is_refused():
+    t = f3.window_starts(3)[2]  # the least n with n*n >= 3^7
+    assert f3._certified_start(t, f3.cmp_ar, 7) == t
+    for wrong in (t - 1, t + 1):
+        with pytest.raises(RuntimeError):
+            f3._certified_start(wrong, f3.cmp_ar, 7)
