@@ -11,8 +11,18 @@ Whether x_0 is itself an integer is never decided by float proximity: the
 root equals chi+1 exactly when q**chi == binom(chi+q, chi+1), a big-integer
 equality.
 
-A margin, not the width, certifies the bracket: bisection stops below TOL/2,
-then each end moves TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
+The bracket is the cell that bisecting [chi, chi+1] down to a width below
+TOL/2 would end in, found without bisecting: 2**-30 > TOL/2 >= 2**-31, so
+that bisection always halves 31 times and ends in a cell of the grid
+chi + m * 2**-31 (exact doubles for chi < 2**21). A secant iteration
+estimates x_0, and two gap evaluations confirm its cell: gap < 0 at the low
+end and >= 0 at the high end. The computed gap errs by at most 1e-14 and
+rises with slope >= 0.36, so at most one grid point, within 3e-14 of x_0,
+can carry a wrong sign; the signs along the grid still change exactly once,
+and that change is the cell both bisection and the two probes find.
+
+A margin, not the width, certifies the bracket: each end of the cell moves
+TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
 """
 
 from __future__ import annotations
@@ -28,6 +38,15 @@ from sepsym.exactcount import least_possible_criterion
 
 TOL = 1e-9
 _NEAR_INT_BAND = 1e-9
+
+# Bisecting [c, c+1] to a width below TOL/2 halves 31 times: its cells.
+_CELLS = 2 ** 31
+_CELL = 1.0 / _CELLS
+# The secant stops once its step is 64 times narrower than a cell. The cap
+# only bounds the loop: over [2, 10^5] and at 3,000 log-uniform q up to 10^15
+# the secant evaluates the gap at most 5 times.
+_SECANT_STOP = _CELL / 64
+_SECANT_STEPS = 12
 
 # Validity threshold of the auxiliary positivity check: e**(e**2) ~ 1618.18.
 EE2 = math.exp(math.exp(2.0))
@@ -85,23 +104,48 @@ def root_gap(q: int, x: float) -> float:
     return _gap(q)(x)
 
 
+def _cell(gap, c: int, x_hat: float):
+    """The grid cell [c + m*_CELL, c + (m+1)*_CELL] where gap changes sign, searched from x_hat.
+
+    Starts in the cell holding x_hat (clamped to [c, c+1]) and moves one cell
+    toward the sign change until gap(lo) < 0 <= gap(hi). Like bisection, it
+    never evaluates c or c+1: gap(c) < 0 and gap(c+1) >= 0 are given.
+    """
+    m = min(max(math.floor((x_hat - c) * _CELLS), 0), _CELLS - 1)
+    while True:
+        lo = c + m * _CELL
+        if m > 0 and gap(lo) >= 0.0:
+            m -= 1
+        elif m < _CELLS - 1 and gap(lo + _CELL) < 0.0:
+            m += 1
+        else:
+            return lo, lo + _CELL
+
+
 def _bracket(q: int, c: int):
     """Bracket the root inside [c, c+1], where c == chi_exact(q).
 
-    Bisect to a width below TOL/2, then move each end TOL/4 outward: the gap
-    has slope >= 0.36 on [c, c+1] (least at q = 2) and an error near 1e-14,
-    so each moved end has |gap| >= 9e-11 on its own side of the root. An
-    integer root c+1 (q**c == binom(c+q, c+1)) ends strictly inside; other
-    brackets are clamped to [c, c+1].
+    A secant iteration from (c, c+1) estimates the root (the gap is convex,
+    with second derivative sum 1/(x+i)**2, so it converges from the
+    bracket), and _cell confirms the grid cell of width _CELL < TOL/2 around
+    it: the cell bisection would end in. Then each end moves TOL/4 outward:
+    the gap has slope >= 0.36 on [c, c+1] (least at q = 2) and an error near
+    1e-14, so each moved end has |gap| >= 9e-11 on its own side of the root.
+    An integer root c+1 (q**c == binom(c+q, c+1)) ends strictly inside;
+    other brackets are clamped to [c, c+1].
     """
     gap = _gap(q)
-    lo, hi = float(c), float(c + 1)
-    while hi - lo > TOL / 2:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    x0, x1 = float(c), float(c + 1)
+    g0, g1 = gap(x0), gap(x1)
+    for _ in range(_SECANT_STEPS):
+        if g1 == g0:
+            break
+        step = g1 * (x1 - x0) / (g1 - g0)
+        x0, g0, x1 = x1, g1, x1 - step
+        if abs(step) < _SECANT_STOP:
+            break
+        g1 = gap(x1)
+    lo, hi = _cell(gap, c, x1)
     lo, hi = lo - TOL / 4, hi + TOL / 4
     if q ** c == math.comb(c + q, c + 1):
         return (lo, hi, True)

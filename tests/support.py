@@ -5,6 +5,7 @@ import math
 
 import mpmath
 
+from sepsym.chi import TOL, _gap
 from sepsym.esym import esym_all
 
 # q -> largest n for brute-force orbit work; each cell stays well under a
@@ -34,6 +35,31 @@ def mp_gap(q):
             x = mpmath.mpf(x)
             return (x - 1) * ln_q - (mpmath.loggamma(x + q) - mpmath.loggamma(x + 1) - lg_q)
     return gap
+
+
+def bisect_cell(gap, c):
+    """The cell [lo, hi] that bisecting [c, c+1] on gap's sign ends in, width below TOL/2."""
+    lo, hi = float(c), float(c + 1)
+    while hi - lo > TOL / 2:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def bisect_bracket(q, c):
+    """The reference x0_bracket(q) for c == chi_exact(q), by 31 bisection steps.
+
+    Bisects on sepsym's float gap, moves each end TOL/4 outward, keeps an
+    integer root c+1 strictly inside and clamps the rest to [c, c+1].
+    """
+    lo, hi = bisect_cell(_gap(q), c)
+    lo, hi = lo - TOL / 4, hi + TOL / 4
+    if q ** c == math.comb(c + q, c + 1):
+        return (lo, hi, True)
+    return (max(lo, float(c)), min(hi, float(c + 1)), False)
 
 
 def brute_esym(v, spec):

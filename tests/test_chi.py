@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sepsym import chi
 from sepsym.errors import ParameterError
-from support import mp_gap
+from support import bisect_bracket, bisect_cell, mp_gap
 
 
 def test_chi_exact_examples():
@@ -83,6 +83,81 @@ def test_bracket_contains_root_above_table_range(q):
     assert gap(lo) < 0 < gap(hi), (q, lo, hi)
     assert not is_int
     assert hi - lo <= chi.TOL
+
+
+def test_bracket_equals_bisection_over_table_start():
+    for q in range(2, 2 * 10 ** 4 + 1):
+        assert chi.x0_bracket(q) == bisect_bracket(q, chi.chi_exact(q)), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(math.log(2e4), math.log(1e15)))
+def test_bracket_equals_bisection_log_uniform(u):
+    q = min(max(int(math.exp(u)), 2 * 10 ** 4 + 1), 10 ** 15)
+    assert chi.x0_bracket(q) == bisect_bracket(q, chi.chi_exact(q))
+
+
+# a bisection cell edge within 1.5-2.9e-14 in gap of the root (43812: 1.45e-14
+# at its high edge), and q = 2, whose root is the integer 3
+@pytest.mark.parametrize("q", [2, 7324, 43812, 87986, 91674, 96221])
+def test_bracket_equals_bisection_near_a_cell_edge(q):
+    assert chi.x0_bracket(q) == bisect_bracket(q, chi.chi_exact(q))
+
+
+def _recording(gap):
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return gap(x)
+    return recorded, seen
+
+
+@pytest.mark.parametrize("q", [3, 18, 7324, 43812, 10 ** 9])
+@pytest.mark.parametrize("cells", [-3, -1, 1, 3])
+def test_cell_found_from_a_shifted_estimate(q, cells):
+    c = chi.chi_exact(q)
+    want = bisect_cell(chi._gap(q), c)
+    gap, seen = _recording(chi._gap(q))
+    assert chi._cell(gap, c, want[0] + (cells + 0.5) * chi._CELL) == want
+    # at most two probes per cell visited
+    assert len(seen) <= 2 * (abs(cells) + 1)
+
+
+def test_cell_at_the_clamped_ends():
+    # q = 2: the root is 3 = c + 1, in the last cell; gap(3) is never read
+    gap, seen = _recording(chi._gap(2))
+    want = bisect_cell(chi._gap(2), 2)
+    assert want == (3.0 - chi._CELL, 3.0)
+    for x_hat in (7.0, 3.0, 3.0 - 2.5 * chi._CELL):
+        assert chi._cell(gap, 2, x_hat) == want
+    assert 3.0 not in seen
+    # a root in the first cell; gap(c) is never read
+    c = 5
+    gap, seen = _recording(lambda x: x - (c + chi._CELL / 3))
+    want = bisect_cell(gap, c)
+    assert want == (5.0, 5.0 + chi._CELL)
+    for x_hat in (-2.0, 5.0, 5.0 + 3.5 * chi._CELL):
+        assert chi._cell(gap, c, x_hat) == want
+    assert 5.0 not in seen and 6.0 not in seen
+
+
+def test_bracket_gap_evaluations_per_q(monkeypatch):
+    # a return to bisection (31) or a secant that stops converging fails here
+    per_q = []
+    gap = chi._gap
+
+    def recorded(q):
+        g, seen = _recording(gap(q))
+        per_q.append(seen)
+        return g
+    monkeypatch.setattr(chi, "_gap", recorded)
+    for q in range(2, 10 ** 4 + 1):
+        chi.x0_bracket(q)
+    counts = [len(seen) for seen in per_q]
+    assert len(counts) == 10 ** 4 - 1
+    assert sum(counts) / len(counts) <= 12
+    assert max(counts) <= 16
 
 
 def test_chi_table_examples():
