@@ -107,19 +107,35 @@ def root_gap(q: int, x: float) -> float:
 def _cell(gap, c: int, x_hat: float):
     """The grid cell [c + m*_CELL, c + (m+1)*_CELL] where gap changes sign, searched from x_hat.
 
-    Starts in the cell holding x_hat (clamped to [c, c+1]) and moves one cell
-    toward the sign change until gap(lo) < 0 <= gap(hi). Like bisection, it
-    never evaluates c or c+1: gap(c) < 0 and gap(c+1) >= 0 are given.
+    Starts in the cell holding x_hat (clamped to [c, c+1]); when its two
+    probes do not show the sign change, gallops toward it with doubling
+    steps and bisects the grid points between, so an estimate d cells off
+    costs about 2*log2(d) probes. Like bisection, it never evaluates c or
+    c+1: gap(c) < 0 and gap(c+1) >= 0 are given.
     """
-    m = min(max(math.floor((x_hat - c) * _CELLS), 0), _CELLS - 1)
-    while True:
-        lo = c + m * _CELL
-        if m > 0 and gap(lo) >= 0.0:
-            m -= 1
-        elif m < _CELLS - 1 and gap(lo + _CELL) < 0.0:
-            m += 1
+    def below(i):  # gap < 0 at the grid point c + i*_CELL
+        return i <= 0 or (i < _CELLS and gap(c + i * _CELL) < 0.0)
+
+    lo = min(max(math.floor((x_hat - c) * _CELLS), 0), _CELLS - 1)
+    hi, step = lo + 1, 1
+    if not below(lo):
+        while True:
+            hi, lo, step = lo, max(lo - step, 0), 2 * step
+            if below(lo):
+                break
+    elif below(hi):
+        while True:
+            lo, hi, step = hi, min(hi + step, _CELLS), 2 * step
+            if not below(hi):
+                break
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid
         else:
-            return lo, lo + _CELL
+            hi = mid
+    x = c + lo * _CELL
+    return x, x + _CELL
 
 
 def _bracket(q: int, c: int):

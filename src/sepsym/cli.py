@@ -215,6 +215,22 @@ def _cmd_chi_table(args, stream) -> int:
     return EXIT_OK
 
 
+def _common_runs(exact, predicted):
+    """(n_lo, n_hi, delta, kind, predicted) on the union of the breakpoints of two run lists.
+
+    Both lists cover the same range: exact as (n_lo, n_hi, delta), the
+    prediction as (n_lo, n_hi, kind, predicted).
+    """
+    e, p = next(exact, None), next(predicted, None)
+    while e and p:
+        lo, hi = max(e[0], p[0]), min(e[1], p[1])
+        yield lo, hi, e[2], p[2], p[3]
+        if e[1] == hi:
+            e = next(exact, None)
+        if p[1] == hi:
+            p = next(predicted, None)
+
+
 def _cmd_delta3(args, stream) -> int:
     n_min, n_max = args.n_min, args.n_max
     if n_min < 2 or n_min > n_max:
@@ -222,13 +238,14 @@ def _cmd_delta3(args, stream) -> int:
     writer = TableWriter(stream, args.format, ("n", "delta_exact", "delta_predicted", "kind"))
     counts = {}
     mismatches = 0  # rows written under --verify
-    for exact, (n, kind, predicted) in zip(exactcount.delta3_range(n_min, n_max),
-                                           f3.predicted_delta3_range(n_min, n_max)):
-        counts[exact] = counts.get(exact, 0) + 1
+    for lo, hi, exact, kind, predicted in _common_runs(exactcount.defect_runs(3, n_min, n_max),
+                                                       f3.prediction_runs(n_min, n_max)):
+        counts[exact] = counts.get(exact, 0) + hi - lo + 1
         if args.verify and exact == predicted:
             continue
-        mismatches += 1
-        writer.row({"n": n, "delta_exact": exact, "delta_predicted": predicted, "kind": kind})
+        mismatches += hi - lo + 1
+        for n in range(lo, hi + 1):
+            writer.row({"n": n, "delta_exact": exact, "delta_predicted": predicted, "kind": kind})
     summary = {"delta0": counts.get(0, 0), "delta1": counts.get(1, 0)}
     if args.verify:
         summary["verified"] = not mismatches

@@ -7,11 +7,12 @@ point is used anywhere in this module.
 
 from __future__ import annotations
 
+import heapq
 import math
-from bisect import bisect_right
 
 from sepsym.errors import ParameterError
 from sepsym.esym import index_set_nq
+from sepsym.gf import prime_power
 
 
 def orbit_count(q: int, n: int) -> int:
@@ -57,42 +58,119 @@ def size_sq(q: int, p: int, n: int) -> int:
     return len(index_set_nq(n, q, p))
 
 
-def delta3_range(n_min: int, n_max: int):
-    """The defects delta3(n) for n = n_min, ..., n_max, in order, as one upward sweep.
+def _certified_edge(t: int, q: int, power: int) -> int:
+    """t, after checking that it is the least n with orbit_count(q, n) > power."""
+    if math.comb(t + q - 1, q - 1) <= power or math.comb(t + q - 2, q - 1) > power:
+        raise RuntimeError(f"gamma edge {t} for q={q} is not the least n with more than "
+                           f"{power} orbits")
+    return t
 
-    Works from the definitions only, with O(1) amortised work per n: a
-    pointer into index_set_nq(n_max, 3, 3) counts the scaled indices <= n,
-    the orbit count binom(n+2, 2) grows by n+1 at each step, and
-    power = 3**k is multiplied by 3 while it is below the orbit count, so
-    k = gamma(3, n). An empty range yields nothing.
+
+def _iroot(m: int, e: int) -> int:
+    """floor(m ** (1/e)) for m >= 1, e >= 1, by Newton's method on integers, from above."""
+    x = 1 << -(-m.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _gamma_edge(q: int, power: int, lo: int, hi: int) -> int:
+    """The least n in (lo, hi] with orbit_count(q, n) > power, by exact bisection.
+
+    Requires orbit_count(q, lo) <= power < orbit_count(q, hi). The orbit
+    count is prod_{i<q} (n+i) / (q-1)!, and that product lies between
+    (n+1)**(q-1) and (n+q/2)**(q-1), so the edge lies in (r - q/2, r] for
+    r = floor(((q-1)! * power) ** (1/(q-1))). The bisection starts from
+    (r - q, r] once two exact comparisons confirm that it brackets the edge.
     """
+    r = _iroot(math.factorial(q - 1) * power, q - 1)
+    a, b = max(lo, r - q), min(hi, r)
+    if a < b and math.comb(a + q - 1, q - 1) <= power < math.comb(b + q - 1, q - 1):
+        lo, hi = a, b
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.comb(mid + q - 1, q - 1) > power:
+            hi = mid
+        else:
+            lo = mid
+    return _certified_edge(hi, q, power)
+
+
+def defect_runs(q: int, n_min: int, n_max: int):
+    """The defect size_sq(q, p, n) - gamma(q, n) over [n_min, n_max] as runs (n_lo, n_hi, delta).
+
+    q = p**e is any prime power. The runs are maximal, in order, and cover
+    the range; an empty range yields nothing. Both terms are step functions
+    of n. The size steps up by one at each scaled index j * p**m (p does not
+    divide j < q), and those edges come lazily from a heap with one entry
+    per j. gamma steps up at the least n with binom(n+q-1, q-1) > q**k, where
+    k is its current value. That edge is searched for only when the orbit
+    count at n_max shows that it lies in the range; it is found by exact
+    bisection on math.comb, started from an integer-root estimate, and
+    certified at t and t - 1. The work grows with the number of runs, not
+    with the length of the range.
+    """
+    pk = prime_power(q)
+    if pk is None:
+        raise ParameterError(f"q must be a prime power, got {q}")
     if n_min < 2:
         raise ParameterError(f"the defect is defined for n >= 2, got {n_min}")
-    return _delta3_sweep(n_min, n_max)
+    return _defect_runs(q, pk[0], n_min, n_max)
 
 
-def _delta3_sweep(n_min: int, n_max: int):
-    indices = index_set_nq(max(n_min, n_max), 3, 3)
-    size = bisect_right(indices, n_min - 1)
-    last = len(indices)
-    orbits = orbit_count(3, n_min - 1)
-    k, power = 0, 1
-    for n in range(n_min, n_max + 1):
-        orbits += n + 1
-        while power < orbits:
-            power *= 3
-            k += 1
-        if size < last and indices[size] <= n:
+def _defect_runs(q: int, p: int, n_min: int, n_max: int):
+    if n_min > n_max:
+        return
+    size, heap = 0, []
+    for j in range(1, q):
+        if j % p:
+            m = floor_log(p, n_min // j) + 1 if j <= n_min else 0
+            size += m
+            heap.append(j * p ** m)
+    heapq.heapify(heap)
+    k = gamma(q, n_min)
+    power = q ** k
+    top = orbit_count(q, n_max)
+
+    def next_edge(n):
+        return _gamma_edge(q, power, n, n_max) if top > power else n_max + 1
+
+    edge = next_edge(n_min)
+    lo, delta = n_min, size - k
+    while True:
+        if delta < 0:
+            raise RuntimeError(f"negative defect at n={lo}: set size fell below gamma")
+        t = min(heap[0], edge)
+        if t > n_max:
+            yield lo, n_max, delta
+            return
+        if heap[0] == t:  # the j * p**m are distinct
+            heapq.heapreplace(heap, t * p)
             size += 1
-        d = size - k
-        if d < 0:
-            raise RuntimeError(f"negative defect at n={n}: set size fell below gamma")
-        yield d
+        if edge == t:
+            k += 1
+            power *= q
+            edge = next_edge(t)
+        if size - k != delta:
+            yield lo, t - 1, delta
+            lo, delta = t, size - k
+
+
+def delta3_range(n_min: int, n_max: int):
+    """The defects delta3(n) for n = n_min, ..., n_max, in order: the q = 3 runs, expanded."""
+    return (d for lo, hi, d in defect_runs(3, n_min, n_max) for _ in range(lo, hi + 1))
 
 
 def delta3(n: int) -> int:
     """Defect of the ternary family: size_sq(3, 3, n) - gamma(3, n), exact."""
-    return next(delta3_range(n, n))
+    if n < 2:
+        raise ParameterError(f"the defect is defined for n >= 2, got {n}")
+    d = size_sq(3, 3, n) - gamma(3, n)
+    if d < 0:
+        raise RuntimeError(f"negative defect at n={n}: set size fell below gamma")
+    return d
 
 
 def least_possible_criterion(q: int, n: int) -> bool:

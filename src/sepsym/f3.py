@@ -19,10 +19,10 @@ For n >= 9, with r chosen so that a_{2r} <= n < a_{2r+2}, the five windows
 carry the term triples below, and the predicted defect is their sum,
 1 on A and D and 0 on B, C, E. For 2 <= n <= 8 the defect is constantly 0.
 
-A range of n is classified in one upward sweep. The four window starts of
-a band r, the least integers n >= b_{2r}, a_{2r+1}, 2*3**r and b_{2r+1},
-are computed once with math.isqrt and each is confirmed by the exact
-comparison at t and t - 1; every n is then placed by comparing it with
+A range of n is classified as runs, one per window it meets. The four
+window starts of a band r, the least integers n >= b_{2r}, a_{2r+1},
+2*3**r and b_{2r+1}, are computed once with math.isqrt and each is
+confirmed by the exact comparison at t and t - 1; a range is then cut at
 those integers.
 """
 
@@ -44,6 +44,7 @@ KIND_TERMS = {
     "D": (-1, 0, 2),
     "E": (-1, -1, 2),
 }
+PREDICTED = {kind: sum(terms) for kind, terms in KIND_TERMS.items()}
 
 
 def _sign(d: int) -> int:
@@ -122,7 +123,7 @@ def window_starts(r: int) -> tuple[int, int, int, int, int, int]:
     Window A runs from the first entry to the second, ..., E from the fifth
     to the last. The starts of B and E are the least n with (2n+3)**2 >=
     8*3**s + 1 (s = 2r, 2r+1), that of C the least n with n*n >= 3**(2r+1).
-    Kept per r, so later sweeps and per-n calls in the same band reuse them.
+    Kept per r, so later ranges and per-n calls in the same band reuse them.
     """
     if r < 1:
         raise ParameterError(f"window starts are defined for r >= 1, got {r}")
@@ -137,6 +138,17 @@ def window_starts(r: int) -> tuple[int, int, int, int, int, int]:
     return power, b_start(2 * r), a_start, 2 * power, b_start(2 * r + 1), 3 * power
 
 
+def _window_runs(n: int, n_max: int):
+    """(n_lo, n_hi, r, kind) for the windows met by [n, n_max], n >= 9, clipped to the range."""
+    r = floor_log(3, n)
+    while n <= n_max:
+        for kind, end in zip("ABCDE", window_starts(r)[1:]):
+            if n < end and n <= n_max:
+                yield n, min(end - 1, n_max), r, kind
+                n = end
+        r += 1
+
+
 def classify3_range(n_min: int, n_max: int):
     """(n, r, kind, alpha, beta, delta, predicted_delta) for n = n_min, ..., n_max >= 9, in order.
 
@@ -145,21 +157,8 @@ def classify3_range(n_min: int, n_max: int):
     if n_min < 9:
         raise ParameterError(
             f"interval classification applies for n >= 9; got {n_min} (the defect is 0 below 9)")
-    return _classify_sweep(n_min, n_max)
-
-
-def _classify_sweep(n_min: int, n_max: int):
-    n = n_min
-    r = floor_log(3, n)
-    while n <= n_max:
-        ends = window_starts(r)[1:]
-        for kind, end in zip("ABCDE", ends):
-            alpha, beta, delta = KIND_TERMS[kind]
-            predicted = alpha + beta + delta
-            for m in range(n, min(end, n_max + 1)):
-                yield m, r, kind, alpha, beta, delta, predicted
-            n = max(n, end)
-        r += 1
+    return ((m, r, kind, *KIND_TERMS[kind], PREDICTED[kind])
+            for lo, hi, r, kind in _window_runs(n_min, n_max) for m in range(lo, hi + 1))
 
 
 def classify3(n: int) -> F3Class:
@@ -167,13 +166,23 @@ def classify3(n: int) -> F3Class:
     return F3Class(*next(classify3_range(n, n)))
 
 
-def predicted_delta3_range(n_min: int, n_max: int):
-    """(n, kind, predicted_delta) for n = n_min, ..., n_max >= 2; kind is "-" below 9."""
+def prediction_runs(n_min: int, n_max: int):
+    """The predicted defect over [n_min, n_max], n_min >= 2, as runs (n_lo, n_hi, kind, predicted).
+
+    One run per window met, clipped to the range, in order; below 9 the
+    kind is "-" and the prediction 0. An empty range yields nothing.
+    """
     if n_min < 2:
         raise ParameterError(f"the defect is defined for n >= 2, got {n_min}")
-    small = ((n, "-", 0) for n in range(n_min, min(n_max, 8) + 1))
-    return itertools.chain(small, ((n, kind, predicted) for n, _, kind, _, _, _, predicted
-                                   in _classify_sweep(max(n_min, 9), n_max)))
+    small = [(n_min, min(n_max, 8), "-", 0)] if n_min <= min(n_max, 8) else []
+    return itertools.chain(small, ((lo, hi, kind, PREDICTED[kind]) for lo, hi, _, kind
+                                   in _window_runs(max(n_min, 9), n_max)))
+
+
+def predicted_delta3_range(n_min: int, n_max: int):
+    """(n, kind, predicted_delta) for n = n_min, ..., n_max >= 2; kind is "-" below 9."""
+    return ((n, kind, predicted) for lo, hi, kind, predicted in prediction_runs(n_min, n_max)
+            for n in range(lo, hi + 1))
 
 
 def predicted_delta3(n: int) -> int:

@@ -170,15 +170,21 @@ def interval_beta(n):
     return 0 if below_b else -1
 
 
-def naive_delta3(n):
-    """#{j * 3**m <= n : j in {1, 2}} - gamma(3, n), from a set and a plain comb loop.
+def naive_defect(q, n):
+    """#{j * p**m <= n : 1 <= j < q} - gamma(q, n) for a prime power q = p**e.
 
-    gamma(3, n) is the number of powers of 3 below binom(n+2, 2); those
-    powers also cover every 3**m <= n.
+    From a set and a plain comb loop: gamma(q, n) is the number of powers
+    of q below binom(n+q-1, q-1).
     """
-    orbits = math.comb(n + 2, 2)
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    orbits = math.comb(n + q - 1, q - 1)
     powers = [1]
     while powers[-1] < orbits:
-        powers.append(3 * powers[-1])
-    scaled = {j * t for j in (1, 2) for t in powers if j * t <= n}
+        powers.append(q * powers[-1])
+    scaled = set()
+    for j in range(1, q):
+        t = j
+        while t <= n:
+            scaled.add(t)
+            t *= p
     return len(scaled) - (len(powers) - 1)

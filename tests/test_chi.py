@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import mpmath
 import pytest
@@ -104,11 +106,12 @@ def test_bracket_equals_bisection_near_a_cell_edge(q):
     assert chi.x0_bracket(q) == bisect_bracket(q, chi.chi_exact(q))
 
 
-def _recording(gap):
+def _recording(gap, limit=math.inf):
     seen = []
 
     def recorded(x):
         seen.append(x)
+        assert len(seen) <= limit, "too many gap evaluations"
         return gap(x)
     return recorded, seen
 
@@ -140,6 +143,34 @@ def test_cell_at_the_clamped_ends():
     for x_hat in (-2.0, 5.0, 5.0 + 3.5 * chi._CELL):
         assert chi._cell(gap, c, x_hat) == want
     assert 5.0 not in seen and 6.0 not in seen
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_bracket_equals_bisection_after_a_short_secant(monkeypatch, steps):
+    # the estimate then lies up to 2^31 cells from the root: the cell search
+    # gallops and bisects, so it still ends in bisection's cell, within 64
+    # evaluations beyond the secant's
+    rng = random.Random(steps)
+    qs = [2, 3, 18, 7324, 43812, 10 ** 15]
+    qs += [int(math.exp(rng.uniform(math.log(2), math.log(1e15)))) for _ in range(200)]
+    want = [bisect_bracket(q, chi.chi_exact(q)) for q in qs]
+    gap = chi._gap
+    monkeypatch.setattr(chi, "_SECANT_STEPS", steps)
+    monkeypatch.setattr(chi, "_gap", lambda q: _recording(gap(q), limit=66 + steps)[0])
+    t0 = time.perf_counter()
+    assert [chi._bracket(q, chi.chi_exact(q)) for q in qs] == want
+    assert time.perf_counter() - t0 < 10
+
+
+@pytest.mark.parametrize("q", [3, 43812, 10 ** 15])
+def test_cell_from_an_estimate_at_either_end(q):
+    c = chi.chi_exact(q)
+    want = bisect_cell(chi._gap(q), c)
+    for x_hat in (float(c), float(c + 1)):
+        # a gallop over at most 31 doublings and a bisection of the last one
+        gap, seen = _recording(chi._gap(q), limit=64)
+        assert chi._cell(gap, c, x_hat) == want
+        assert float(c) not in seen and float(c + 1) not in seen
 
 
 def test_bracket_gap_evaluations_per_q(monkeypatch):

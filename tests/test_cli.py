@@ -3,13 +3,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import sepsym
 from sepsym import chi, cli, f3, separating
 from sepsym.errors import NotSeparatingError, ParameterError
-from support import naive_delta3
+from sepsym.exactcount import delta3
+from support import naive_defect
 
 # The checkout's src directory, so that child interpreters run the same code.
 SRC = str(pathlib.Path(sepsym.__file__).resolve().parents[1])
@@ -175,15 +177,51 @@ def test_delta3_verify_ok(capsys):
 
 
 def test_delta3_verify_mismatch(capsys, monkeypatch):
-    # the CLI reads the prediction sweep; zero its predictions, keep its kinds
-    sweep = f3.predicted_delta3_range
-    monkeypatch.setattr(f3, "predicted_delta3_range",
-                        lambda lo, hi: ((n, kind, 0) for n, kind, _ in sweep(lo, hi)))
+    # the CLI reads the prediction runs; zero their predictions, keep their kinds
+    runs = f3.prediction_runs
+    monkeypatch.setattr(f3, "prediction_runs",
+                        lambda lo, hi: ((a, b, kind, 0) for a, b, kind, _ in runs(lo, hi)))
     rc, lines = run(capsys, "delta3", "--n-min", "9", "--n-max", "11", "--verify")
     assert rc == 1
     assert any("mismatches=3" in line for line in lines)
-    # the kind column of a mismatch row comes from the prediction tuple
+    # the kind column of a mismatch row comes from the prediction run
     assert lines[2:5] == ["9,1,0,A", "10,1,0,A", "11,1,0,A"]
+
+
+def _flipped(runs, x, y):
+    """The prediction runs with the prediction flipped on [x, y], cut at x and y + 1."""
+    for lo, hi, kind, p in runs:
+        for a, b, flip in ((lo, min(hi, x - 1), False), (max(lo, x), min(hi, y), True),
+                           (max(lo, y + 1), hi, False)):
+            if a <= b:
+                yield a, b, kind, 1 - p if flip else p
+
+
+@pytest.mark.parametrize("x, y", [(5, 14), (20, 40), (9, 9), (26, 28)])
+def test_delta3_verify_mismatch_across_run_boundaries(capsys, monkeypatch, x, y):
+    # [5, 14] crosses the exact runs' edge at 9 and the windows' at 9 and 12;
+    # each mismatch row must be the per-n row
+    rows = [f"{n},{delta3(n)},{1 - f3.predicted_delta3(n)},"
+            f"{f3.classify3(n).kind if n >= 9 else '-'}" for n in range(x, y + 1)]
+    exact = [delta3(n) for n in range(2, 61)]
+    runs = f3.prediction_runs
+    monkeypatch.setattr(f3, "prediction_runs", lambda lo, hi: _flipped(runs(lo, hi), x, y))
+    rc, lines = run(capsys, "delta3", "--n-min", "2", "--n-max", "60", "--verify")
+    assert rc == 1
+    assert lines == [cli.SCHEMA_TAG, "n,delta_exact,delta_predicted,kind", *rows,
+                     f"# delta0={exact.count(0)} delta1={exact.count(1)} verified=false "
+                     f"mismatches={y - x + 1}"]
+
+
+def test_delta3_verify_reach_1e100(capsys):
+    # in O(runs): about 830 runs per side, whatever the length of the range
+    t0 = time.perf_counter()
+    rc, lines = run(capsys, "delta3", "--n-min", "2", "--n-max", str(10 ** 100), "--verify")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    summary = dict(kv.split("=") for kv in lines[-1][2:].split())
+    assert int(summary["delta0"]) + int(summary["delta1"]) == 10 ** 100 - 1
+    assert (summary["verified"], summary["mismatches"]) == ("true", "0")
 
 
 def test_delta3_verify_reach_1e6(capsys):
@@ -196,7 +234,7 @@ def test_delta3_verify_reach_1e6(capsys):
 
 def test_delta3_and_classify3_rows_match_oracles(capsys):
     classes = {n: f3.classify3(n) for n in range(9, 3001)}
-    exact = [naive_delta3(n) for n in range(2, 3001)]
+    exact = [naive_defect(3, n) for n in range(2, 3001)]
     rows = [f"{n},{d},{classes[n].predicted_delta if n >= 9 else 0},"
             f"{classes[n].kind if n >= 9 else '-'}" for n, d in zip(range(2, 3001), exact)]
     rc, lines = run(capsys, "delta3", "--n-min", "2", "--n-max", "3000")

@@ -1,16 +1,26 @@
 import math
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sepsym import exactcount
 from sepsym.errors import ParameterError
 from sepsym.exactcount import (
+    defect_runs,
     delta3,
+    delta3_range,
     floor_log,
     gamma,
     least_possible_criterion,
     orbit_count,
     size_sq,
 )
+from sepsym.gf import prime_power
+from support import naive_defect
+
+DEFECT_QS = (2, 3, 4, 5, 7, 8, 9, 16)
 
 
 def test_orbit_count_examples():
@@ -122,3 +132,115 @@ def test_validation():
         orbit_count(3, 0)
     with pytest.raises(ParameterError):
         gamma(2, 0)
+
+
+def _expand(runs):
+    return [d for lo, hi, d in runs for _ in range(lo, hi + 1)]
+
+
+def _direct(q, n):
+    return size_sq(q, prime_power(q)[0], n) - gamma(q, n)
+
+
+@pytest.mark.parametrize("q", DEFECT_QS)
+def test_defect_runs_against_naive_defect(q):
+    top = 600
+    want = [naive_defect(q, n) for n in range(2, top + 1)]
+    runs = list(defect_runs(q, 2, top))
+    # maximal runs, in order, covering the range
+    assert runs[0][0] == 2 and runs[-1][1] == top
+    assert all(lo <= hi for lo, hi, _ in runs)
+    for (_, hi, d), (lo, _, d_next) in zip(runs, runs[1:]):
+        assert lo == hi + 1 and d != d_next
+    assert _expand(runs) == want
+    for n_min in (2, 3, 7, 8, 9, 15, 16, 17, 100):
+        for n_max in (n_min, n_min + 1, n_min + 40, top):
+            assert _expand(defect_runs(q, n_min, n_max)) == want[n_min - 2:n_max - 1]
+
+
+def _edges(q, top):
+    """Every n <= top where a term of the defect can step: each j * p**m (1 <= j < q)
+    and each least n with binom(n+q-1, q-1) > q**k."""
+    p = prime_power(q)[0]
+    points = set()
+    for j in range(1, q):
+        t = j
+        while t <= top:
+            points.add(t)
+            t *= p
+    power = 1
+    while math.comb(top + q - 1, q - 1) > power:
+        lo, hi = 0, top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if math.comb(mid + q - 1, q - 1) > power else (mid, hi)
+        points.add(hi)
+        power *= q
+    return sorted(points)
+
+
+@pytest.mark.parametrize("q", DEFECT_QS)
+def test_defect_runs_at_every_edge_up_to_1e60(q):
+    # the defect is constant between edges, so comparing n = e - 1 and e
+    # with size_sq - gamma at every edge e checks the whole run list; q = 16,
+    # with about 2300 edges below 10^60, stops at 10^30 to keep this quick
+    top = 10 ** 30 if q == 16 else 10 ** 60
+    runs = list(defect_runs(q, 2, top))
+    starts = [lo for lo, _, _ in runs]
+    for e in _edges(q, top):
+        lo = max(2, e - 1)
+        want = [_direct(q, n) for n in range(lo, e + 1)]
+        assert _expand(defect_runs(q, lo, e)) == want, e
+        assert [runs[bisect_right(starts, n) - 1][2] for n in range(lo, e + 1)] == want, e
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DEFECT_QS), st.integers(min_value=2, max_value=10 ** 60),
+       st.integers(min_value=0, max_value=200))
+def test_defect_runs_on_random_windows_up_to_1e60(q, a, length):
+    assert _expand(defect_runs(q, a, a + length)) == [_direct(q, n)
+                                                      for n in range(a, a + length + 1)]
+
+
+def test_defect_runs_q3_is_delta3():
+    assert list(delta3_range(2, 5000)) == [delta3(n) for n in range(2, 5001)]
+    assert [d for _, _, d in defect_runs(3, 2, 10 ** 100)] == [0, 1] * 415 + [0]
+
+
+def test_defect_runs_validation_and_laziness(monkeypatch):
+    for q, n_min in ((6, 2), (1, 2), (12, 5), (3, 1), (16, 0)):
+        with pytest.raises(ParameterError):
+            defect_runs(q, n_min, 10)
+    assert list(defect_runs(3, 10, 9)) == []
+    # the size edges come from a heap, never from the index set of n_max
+    monkeypatch.setattr(exactcount, "index_set_nq", None)
+    assert next(defect_runs(16, 2, 10 ** 1000)) == (2, 3, 0)
+
+
+def test_negative_defect_is_refused(monkeypatch):
+    monkeypatch.setattr(exactcount, "gamma", lambda q, n: n)
+    with pytest.raises(RuntimeError):
+        list(defect_runs(3, 100, 200))
+
+
+def test_uncertified_gamma_edge_is_refused():
+    for q in (3, 16):
+        power = q ** 7
+        t = next(n for n in range(1, 10 ** 6) if orbit_count(q, n) > power)
+        assert exactcount._certified_edge(t, q, power) == t
+        for wrong in (t - 1, t + 1):
+            with pytest.raises(RuntimeError):
+                exactcount._certified_edge(wrong, q, power)
+        # every edge found is certified: a search whose lower end is already
+        # past the edge ends at a wrong n, and is refused
+        assert exactcount._gamma_edge(q, power, t - 5, t + 50) == t
+        with pytest.raises(RuntimeError):
+            exactcount._gamma_edge(q, power, t + 5, t + 50)
+
+
+@pytest.mark.parametrize("estimate", [lambda m, e: 1, lambda m, e: 10 * m])
+def test_gamma_edges_without_a_usable_root_estimate(monkeypatch, estimate):
+    # a root estimate that brackets nothing leaves the plain bisection of (lo, hi]
+    want = {q: list(defect_runs(q, 2, 10 ** 30)) for q in (3, 16)}
+    monkeypatch.setattr(exactcount, "_iroot", estimate)
+    assert {q: list(defect_runs(q, 2, 10 ** 30)) for q in (3, 16)} == want

@@ -9,7 +9,7 @@ from sepsym import f3
 from sepsym.errors import ParameterError
 from sepsym.esym import index_set_nq
 from sepsym.exactcount import delta3, delta3_range, floor_log
-from support import interval_alpha, interval_beta, naive_delta3
+from support import interval_alpha, interval_beta, naive_defect
 
 KIND_ORDER = {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
 
@@ -201,10 +201,16 @@ def _assert_sweeps_match(lo, hi):
     """Both sweeps over [lo, hi] against the independent oracle and the per-n functions."""
     ns = range(lo, hi + 1)
     exact = list(delta3_range(lo, hi))
-    assert exact == [naive_delta3(n) for n in ns]
+    assert exact == [naive_defect(3, n) for n in ns]
     assert exact == [delta3(n) for n in ns]
     predicted = list(f3.predicted_delta3_range(lo, hi))
     assert [p for _, _, p in predicted] == exact
+    # the prediction runs: in order, covering [lo, hi], one kind each
+    runs = list(f3.prediction_runs(lo, hi))
+    assert [(r[0], r[1]) for r in runs] == [(lo, runs[0][1])] + [(a[1] + 1, b[1]) for a, b
+                                                                 in zip(runs, runs[1:])]
+    assert runs[-1][1] == hi and all(a <= b for a, b, _, _ in runs)
+    assert [(n, kind, p) for a, b, kind, p in runs for n in range(a, b + 1)] == predicted
     assert predicted == [(n, f3.classify3(n).kind if n >= 9 else "-", f3.predicted_delta3(n))
                          for n in ns]
     if hi >= 9:
@@ -237,9 +243,12 @@ def test_range_validation_and_empty_ranges():
     with pytest.raises(ParameterError):
         f3.predicted_delta3_range(1, 5)
     with pytest.raises(ParameterError):
+        f3.prediction_runs(1, 5)
+    with pytest.raises(ParameterError):
         f3.classify3_range(8, 20)
     assert list(delta3_range(10, 9)) == []
     assert list(f3.predicted_delta3_range(10, 9)) == []
+    assert list(f3.prediction_runs(10, 9)) == []
     assert list(f3.classify3_range(10, 9)) == []
 
 
