@@ -104,6 +104,11 @@ def root_gap(q: int, x: float) -> float:
     return _gap(q)(x)
 
 
+def _below(gap, c: int, i: int) -> bool:
+    """gap < 0 at the grid point c + i*_CELL, with gap(c) < 0 <= gap(c+1) given."""
+    return i <= 0 or (i < _CELLS and gap(c + i * _CELL) < 0.0)
+
+
 def _cell(gap, c: int, x_hat: float):
     """The grid cell [c + m*_CELL, c + (m+1)*_CELL] where gap changes sign, searched from x_hat.
 
@@ -113,24 +118,21 @@ def _cell(gap, c: int, x_hat: float):
     costs about 2*log2(d) probes. Like bisection, it never evaluates c or
     c+1: gap(c) < 0 and gap(c+1) >= 0 are given.
     """
-    def below(i):  # gap < 0 at the grid point c + i*_CELL
-        return i <= 0 or (i < _CELLS and gap(c + i * _CELL) < 0.0)
-
     lo = min(max(math.floor((x_hat - c) * _CELLS), 0), _CELLS - 1)
     hi, step = lo + 1, 1
-    if not below(lo):
+    if lo > 0 and gap(c + lo * _CELL) >= 0.0:
         while True:
             hi, lo, step = lo, max(lo - step, 0), 2 * step
-            if below(lo):
+            if _below(gap, c, lo):
                 break
-    elif below(hi):
+    elif hi < _CELLS and gap(c + hi * _CELL) < 0.0:
         while True:
             lo, hi, step = hi, min(hi + step, _CELLS), 2 * step
-            if not below(hi):
+            if not _below(gap, c, hi):
                 break
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if below(mid):
+        if _below(gap, c, mid):
             lo = mid
         else:
             hi = mid

@@ -76,19 +76,16 @@ def _iroot(m: int, e: int) -> int:
         x = y
 
 
-def _gamma_edge(q: int, power: int, lo: int, hi: int) -> int:
-    """The least n in (lo, hi] with orbit_count(q, n) > power, by exact bisection.
+def _gamma_edge(q: int, power: int) -> int:
+    """The least n with orbit_count(q, n) > power, by exact bisection.
 
-    Requires orbit_count(q, lo) <= power < orbit_count(q, hi). The orbit
-    count is prod_{i<q} (n+i) / (q-1)!, and that product lies between
-    (n+1)**(q-1) and (n+q/2)**(q-1), so the edge lies in (r - q/2, r] for
-    r = floor(((q-1)! * power) ** (1/(q-1))). The bisection starts from
-    (r - q, r] once two exact comparisons confirm that it brackets the edge.
+    The orbit count is prod_{i<q} (n+i) / (q-1)!, and that product lies
+    between (n+1)**(q-1) and (n+q/2)**(q-1), so the edge lies in
+    (r - q/2, r] for r = floor(((q-1)! * power) ** (1/(q-1))). The bisection
+    runs on (max(r - q, 0), r], and the end it reaches is certified.
     """
     r = _iroot(math.factorial(q - 1) * power, q - 1)
-    a, b = max(lo, r - q), min(hi, r)
-    if a < b and math.comb(a + q - 1, q - 1) <= power < math.comb(b + q - 1, q - 1):
-        lo, hi = a, b
+    lo, hi = max(r - q, 0), r
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if math.comb(mid + q - 1, q - 1) > power:
@@ -108,7 +105,7 @@ def defect_runs(q: int, n_min: int, n_max: int):
     per j. gamma steps up at the least n with binom(n+q-1, q-1) > q**k, where
     k is its current value. That edge is searched for only when the orbit
     count at n_max shows that it lies in the range; it is found by exact
-    bisection on math.comb, started from an integer-root estimate, and
+    bisection on math.comb inside an integer-root bracket of width q, and
     certified at t and t - 1. The work grows with the number of runs, not
     with the length of the range.
     """
@@ -134,10 +131,10 @@ def _defect_runs(q: int, p: int, n_min: int, n_max: int):
     power = q ** k
     top = orbit_count(q, n_max)
 
-    def next_edge(n):
-        return _gamma_edge(q, power, n, n_max) if top > power else n_max + 1
+    def next_edge():
+        return _gamma_edge(q, power) if top > power else n_max + 1
 
-    edge = next_edge(n_min)
+    edge = next_edge()
     lo, delta = n_min, size - k
     while True:
         if delta < 0:
@@ -152,15 +149,10 @@ def _defect_runs(q: int, p: int, n_min: int, n_max: int):
         if edge == t:
             k += 1
             power *= q
-            edge = next_edge(t)
+            edge = next_edge()
         if size - k != delta:
             yield lo, t - 1, delta
             lo, delta = t, size - k
-
-
-def delta3_range(n_min: int, n_max: int):
-    """The defects delta3(n) for n = n_min, ..., n_max, in order: the q = 3 runs, expanded."""
-    return (d for lo, hi, d in defect_runs(3, n_min, n_max) for _ in range(lo, hi + 1))
 
 
 def delta3(n: int) -> int:

@@ -10,7 +10,6 @@ from sepsym.errors import ParameterError
 from sepsym.exactcount import (
     defect_runs,
     delta3,
-    delta3_range,
     floor_log,
     gamma,
     least_possible_criterion,
@@ -203,7 +202,7 @@ def test_defect_runs_on_random_windows_up_to_1e60(q, a, length):
 
 
 def test_defect_runs_q3_is_delta3():
-    assert list(delta3_range(2, 5000)) == [delta3(n) for n in range(2, 5001)]
+    assert _expand(defect_runs(3, 2, 5000)) == [delta3(n) for n in range(2, 5001)]
     assert [d for _, _, d in defect_runs(3, 2, 10 ** 100)] == [0, 1] * 415 + [0]
 
 
@@ -215,6 +214,10 @@ def test_defect_runs_validation_and_laziness(monkeypatch):
     # the size edges come from a heap, never from the index set of n_max
     monkeypatch.setattr(exactcount, "index_set_nq", None)
     assert next(defect_runs(16, 2, 10 ** 1000)) == (2, 3, 0)
+    # a gamma edge is searched for only when gamma changes inside the range:
+    # binom(12, 2) = 66 and binom(13, 2) = 78 both lie in (3**3, 3**4]
+    monkeypatch.setattr(exactcount, "_gamma_edge", None)
+    assert list(defect_runs(3, 10, 11)) == [(10, 11, 1)]
 
 
 def test_negative_defect_is_refused(monkeypatch):
@@ -223,7 +226,7 @@ def test_negative_defect_is_refused(monkeypatch):
         list(defect_runs(3, 100, 200))
 
 
-def test_uncertified_gamma_edge_is_refused():
+def test_uncertified_gamma_edge_is_refused(monkeypatch):
     for q in (3, 16):
         power = q ** 7
         t = next(n for n in range(1, 10 ** 6) if orbit_count(q, n) > power)
@@ -231,16 +234,16 @@ def test_uncertified_gamma_edge_is_refused():
         for wrong in (t - 1, t + 1):
             with pytest.raises(RuntimeError):
                 exactcount._certified_edge(wrong, q, power)
-        # every edge found is certified: a search whose lower end is already
-        # past the edge ends at a wrong n, and is refused
-        assert exactcount._gamma_edge(q, power, t - 5, t + 50) == t
-        with pytest.raises(RuntimeError):
-            exactcount._gamma_edge(q, power, t + 5, t + 50)
+        assert exactcount._gamma_edge(q, power) == t
+    # every edge found is certified: a root bracket that misses the edge
+    # ends the bisection at a wrong n, and is refused
+    monkeypatch.setattr(exactcount, "_iroot", lambda m, e: m)
+    with pytest.raises(RuntimeError):
+        exactcount._gamma_edge(3, 3 ** 7)
 
 
-@pytest.mark.parametrize("estimate", [lambda m, e: 1, lambda m, e: 10 * m])
-def test_gamma_edges_without_a_usable_root_estimate(monkeypatch, estimate):
-    # a root estimate that brackets nothing leaves the plain bisection of (lo, hi]
-    want = {q: list(defect_runs(q, 2, 10 ** 30)) for q in (3, 16)}
-    monkeypatch.setattr(exactcount, "_iroot", estimate)
-    assert {q: list(defect_runs(q, 2, 10 ** 30)) for q in (3, 16)} == want
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 200), st.integers(min_value=1, max_value=15))
+def test_iroot_is_the_integer_root(m, e):
+    x = exactcount._iroot(m, e)
+    assert x ** e <= m < (x + 1) ** e

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sepsym import f3
 from sepsym.errors import ParameterError
 from sepsym.esym import index_set_nq
-from sepsym.exactcount import delta3, delta3_range, floor_log
+from sepsym.exactcount import defect_runs, delta3, floor_log
 from support import interval_alpha, interval_beta, naive_defect
 
 KIND_ORDER = {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4}
@@ -200,7 +200,7 @@ def test_delta3_matches_prediction_up_to_1e60(n):
 def _assert_sweeps_match(lo, hi):
     """Both sweeps over [lo, hi] against the independent oracle and the per-n functions."""
     ns = range(lo, hi + 1)
-    exact = list(delta3_range(lo, hi))
+    exact = [d for a, b, d in defect_runs(3, lo, hi) for _ in range(a, b + 1)]
     assert exact == [naive_defect(3, n) for n in ns]
     assert exact == [delta3(n) for n in ns]
     predicted = list(f3.predicted_delta3_range(lo, hi))
@@ -239,14 +239,14 @@ def test_sweeps_on_random_windows_up_to_1e60(a, length):
 def test_range_validation_and_empty_ranges():
     # a bad lower end is refused when the sweep is made, before any value
     with pytest.raises(ParameterError):
-        delta3_range(1, 5)
+        defect_runs(3, 1, 5)
     with pytest.raises(ParameterError):
         f3.predicted_delta3_range(1, 5)
     with pytest.raises(ParameterError):
         f3.prediction_runs(1, 5)
     with pytest.raises(ParameterError):
         f3.classify3_range(8, 20)
-    assert list(delta3_range(10, 9)) == []
+    assert list(defect_runs(3, 10, 9)) == []
     assert list(f3.predicted_delta3_range(10, 9)) == []
     assert list(f3.prediction_runs(10, 9)) == []
     assert list(f3.classify3_range(10, 9)) == []
