@@ -5,7 +5,8 @@ product prod_i (1 + v_i z), built one factor at a time by
 convolution_step. That costs O(n^2) field multiplications and no divisions,
 so it is exact in every characteristic (Newton-style recurrences would
 divide by small integers that vanish mod p). The orbit walk in
-sepsym.separating takes the same step, one factor per changed entry.
+sepsym.separating takes the same step, s'_j = s_j + x s_{j-1}, for a whole
+batch of orbits at once, one new factor per orbit.
 """
 
 from __future__ import annotations

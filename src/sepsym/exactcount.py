@@ -54,8 +54,16 @@ def gamma(q: int, n: int) -> int:
 
 
 def size_sq(q: int, p: int, n: int) -> int:
-    """Cardinality of the power-scaled index set behind the q-adapted family."""
-    return len(index_set_nq(n, q, p))
+    """Cardinality of the power-scaled index set behind the q-adapted family.
+
+    Each member of index_set_nq(n, q, p) is j * p**m for exactly one j < q
+    that p does not divide, so the set has floor_log(p, n // j) + 1 members
+    for each such j <= n.
+    """
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    index_set_nq(1, q, p)  # checks that q is a power of the prime p
+    return sum(floor_log(p, n // j) + 1 for j in range(1, min(q, n + 1)) if j % p)
 
 
 def _certified_edge(t: int, q: int, power: int) -> int:

@@ -5,26 +5,25 @@ representative to its tuple of s_t values, is injective over all orbits.
 Everything here is exhaustive: verdicts come from scanning every orbit, not
 from any closed-form shortcut.
 
-All verdicts read one walk, _leaf_batches. It visits the orbit
-representatives in lexicographic order, as a depth-first walk of the tree
-of their prefixes (combinations with repetition; Knuth, TAOCP 4A, 7.2.1.3).
-Interior nodes, the prefixes of length n - 1, keep the values of
-prod (1 + v_i z): a prefix shares all but its last run of equal entries
-with the one before it, so its values cost one O(n) convolution step per
-entry of that run. The leaves under a prefix with last entry a,
-prefix + (x,) for x = a, ..., q - 1, come as one batch: leaf x has
-s'_t = s_t + x s_{t-1} (with s_0 = 1), so only the requested s'_t are
-computed, straight from the prefix's values and the field's tables. When
-the batch has more leaves than there are requested indices, the column of
-s'_t over the batch is the addition-table row of s_t read along a slice of
-the multiplication-table row of s_{t-1}, which map runs in C, and zip of
-the columns gives the fingerprints; otherwise, as on long vectors, where
-most batches hold one or two leaves, one pass per leaf is cheaper.
+All verdicts read one walk, _orbit_batches. A sorted representative is
+(0, ..., 0, M) with M its k nonzero entries, so lexicographic order is k
+ascending, then M in lexicographic order: the walk builds level k from level
+k - 1 (Knuth, TAOCP 4A, 7.2.1.3), each part M' followed by x = a, ..., q - 1,
+a its last entry (0 for the empty part, whose x = 0 is the zero orbit).
+Those children come as one batch: child x has s'_t = s_t + x s_{t-1} (with
+s_0 = 1), read from the parent's values and the field's tables. With more
+children than indices to compute, the column of s'_t is the addition-table
+row of s_t read along a slice of the multiplication-table row of s_{t-1},
+which map runs in C, and zip of the columns gives the rows; otherwise, as on
+long vectors, one pass per child is cheaper. So each orbit with a zero costs
+one row s_1, ..., s_k, kept until the next level is built, and each orbit
+without one only the requested s_t.
 
 check_separating streams the walk and keeps only the set of distinct
 fingerprints. When the set ends smaller than the number of orbits, a second
-walk maps each fingerprint to the first leaf that has it and stops at the
-first leaf whose fingerprint is already mapped: that pair is the witness.
+walk, paired with enumerate_orbits to name the orbits, maps each
+fingerprint to the first orbit that has it and stops at the first orbit
+whose fingerprint is already mapped: that pair is the witness.
 check_minimal and min_separating_size hold one value tuple per orbit;
 every index set they try is a projection of those rows, scanned only up to
 its first collision. The last such walk is kept, so that minsep, which asks
@@ -34,6 +33,7 @@ both questions of one field and n, walks once.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 # esym_all is not called here, but stays importable from this module: the
 # benchmark's layer tracer patches names where they are looked up.
-from sepsym.esym import convolution_step, esym_all, normalize_indices  # noqa: F401
+from sepsym.esym import esym_all, normalize_indices  # noqa: F401
 from sepsym.exactcount import gamma
 from sepsym.gf import FieldSpec
 from sepsym.orbits import enumerate_orbits
@@ -58,53 +58,53 @@ class SeparationVerdict:
     fingerprint_count: int
 
 
-def _leaf_batches(spec: FieldSpec, n: int, idx: tuple[int, ...]
-                  ) -> Iterator[tuple[tuple[int, ...], int, Iterable[tuple[int, ...]]]]:
-    """Stream (prefix, a, fingerprints) for every prefix of length n - 1, in lexicographic order.
+def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...]
+                   ) -> Iterator[tuple[int, Iterable[tuple[int, ...]]]]:
+    """Stream (a, fingerprints) for every batch of orbits, in lexicographic order.
 
-    The prefix's leaves are prefix + (x,) for x = a, ..., q - 1, where a is
-    its last entry (0 for the empty prefix of n = 1); fingerprints yields
-    (s_t for t in idx) of each, in that order, once. The orbit bound is that
-    of enumerate_orbits.
+    A batch is the orbits with nonzero part r + (x,), x = a, ..., q - 1, for
+    one part r with last entry a (0 if r is empty: x = 0 is the zero orbit);
+    fingerprints yields their (s_t for t in idx) once. The orbit bound is
+    that of enumerate_orbits.
     """
     enumerate_orbits(spec, n)  # checks n and the orbit bound
     q = spec.q
-    if n == 1:  # no product: s_1 is the leaf itself, and the tables stay unbuilt
-        yield (), 0, [(x,) * len(idx) for x in range(q)]
+    if n == 1:  # no product: s_1 is the orbit itself, and the tables stay unbuilt
+        yield 0, [(x,) * len(idx) for x in range(q)]
         return
     add_t, mul_t = spec.tables
     get = [row.__getitem__ for row in add_t]
-    step = convolution_step(spec)
-    pads = [(0,) * k for k in range(n + 1)]
-    # prefix[:d] has values values[d]; zeros leave them unchanged
-    values = [()] * n
-    for prefix in itertools.combinations_with_replacement(range(q), n - 1):
-        a = prefix[-1]
-        # prefix agrees with its predecessor up to its first copy of a
-        d = prefix.index(a)
-        s = values[d]
-        for d in range(d, n - 1):
-            x = prefix[d]
-            if x:
-                s = step(s, x)
-            values[d + 1] = s
-        s = (1, *s, *pads[n - len(s)])  # s_0, ..., s_n with s_n = 0
-        # Leaf x has s'_t = s_t + x s_{t-1}. With more leaves than indices,
-        # one map per index gives a column over the leaves (adding s_t = 0
-        # changes nothing, so that column is the row slice itself); with
-        # fewer, as on long vectors, one pass per leaf is cheaper.
-        if 0 < len(idx) < q - a:
-            yield prefix, a, zip(*[map(get[s[t]], mul_t[s[t - 1]][a:]) if s[t]
-                                   else mul_t[s[t - 1]][a:] for t in idx])
-        else:
-            yield prefix, a, [tuple([add_t[s[t]][mx[s[t - 1]]] for t in idx])
-                              for mx in mul_t[a:]]
+
+    def batch(r, a, ts):
+        # s'_t = s_t + x s_{t-1}: by columns if the batch has more orbits
+        # than ts has indices (a column with s_t = 0 is the row slice itself)
+        s = (1, *r, 0)
+        if 0 < len(ts) < q - a:
+            return zip(*[map(get[s[t]], mul_t[s[t - 1]][a:]) if s[t]
+                         else mul_t[s[t - 1]][a:] for t in ts])
+        return [tuple([add_t[s[t]][mx[s[t - 1]]] for t in ts]) for mx in mul_t[a:]]
+
+    # level k: (a, (s_1, ..., s_k)) of each nonzero part of length k, a its last entry
+    level = [(0, ())]
+    for k in range(1, n):
+        cut = bisect_right(idx, k)
+        project, pad = _projector(idx[:cut]), (0,) * (len(idx) - cut)
+        built = []
+        for a, r in level:
+            rows = list(batch(r, a, range(1, k + 1)))
+            yield a, [project(v) + pad for v in rows]
+            built += zip(range(a, q), rows)
+        if k == 1:
+            del built[0]  # the zero orbit: its nonzero part is level 0's
+        level = built
+    for a, r in level:
+        yield a, batch(r, a, idx)
 
 
 def _projector(idx: tuple[int, ...]):
-    """Map a value vector to its fingerprint on the sorted index set idx."""
-    if not idx:
-        return lambda values: ()
+    """Map a value vector to its fingerprint, a tuple, on the sorted index set idx."""
+    if len(idx) < 2:
+        return lambda values: tuple([values[t - 1] for t in idx])
     return itemgetter(*[t - 1 for t in idx])
 
 
@@ -126,8 +126,8 @@ def _value_rows(spec: FieldSpec, n: int) -> tuple:
     n: minsep asks min_separating_size and check_minimal about the same
     field and n, and so walks once.
     """
-    batches = _leaf_batches(spec, n, tuple(range(1, n + 1)))
-    return tuple(itertools.chain.from_iterable(rows for _, _, rows in batches))
+    batches = _orbit_batches(spec, n, tuple(range(1, n + 1)))
+    return tuple(itertools.chain.from_iterable(rows for _, rows in batches))
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
@@ -141,7 +141,7 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> Separat
     q = spec.q
     seen = set()
     total = 0
-    for _, a, fps in _leaf_batches(spec, n, idx):
+    for a, fps in _orbit_batches(spec, n, idx):
         seen.update(fps)
         total += q - a
     witness = None if len(seen) == total else _first_collision(spec, n, idx)
@@ -150,18 +150,17 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> Separat
 
 
 def _first_collision(spec: FieldSpec, n: int, idx: tuple[int, ...]) -> tuple:
-    """(earlier, rep) of a non-separating idx, in walk order.
+    """(earlier, rep) of a non-separating idx, in lexicographic order.
 
-    rep is the first leaf whose fingerprint an earlier leaf has, and earlier
-    is the first leaf with that fingerprint.
+    rep is the first orbit whose fingerprint an earlier one has, earlier the
+    first with that fingerprint; enumerate_orbits names them in walk order.
     """
     first = {}
-    for prefix, a, fps in _leaf_batches(spec, n, idx):
-        for x, fp in enumerate(fps, a):
-            rep = prefix + (x,)
-            earlier = first.setdefault(fp, rep)
-            if earlier is not rep:
-                return earlier, rep
+    fps = itertools.chain.from_iterable(rows for _, rows in _orbit_batches(spec, n, idx))
+    for rep, fp in zip(enumerate_orbits(spec, n), fps):
+        earlier = first.setdefault(fp, rep)
+        if earlier is not rep:
+            return earlier, rep
 
 
 def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int]):

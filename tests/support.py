@@ -77,18 +77,23 @@ def brute_esym(v, spec):
     return tuple(out)
 
 
-def naive_check(spec, n, T):
-    """(separates, witness, orbit_count, fingerprint_count) by one fresh scan for T.
+def naive_rows(spec, n):
+    """(rep, value vector) of every orbit, rebuilt from scratch, in lexicographic order."""
+    return [(rep, esym_all(rep, spec))
+            for rep in itertools.combinations_with_replacement(range(spec.q), n)]
 
-    Every orbit is rebuilt from scratch and its value vector recomputed; the
+
+def naive_check(spec, n, T, rows=None):
+    """(separates, witness, orbit_count, fingerprint_count) by one scan for T.
+
+    The scan reads rows, as naive_rows makes them, or makes them afresh; the
     witness is the first repeated fingerprint in lexicographic order.
     """
     idx = sorted(set(T))
     seen = {}
     witness = None
     total = 0
-    for rep in itertools.combinations_with_replacement(range(spec.q), n):
-        values = esym_all(rep, spec)
+    for rep, values in naive_rows(spec, n) if rows is None else rows:
         fp = tuple(values[t - 1] for t in idx)
         if fp in seen:
             witness = witness or (seen[fp], rep)

@@ -359,13 +359,13 @@ def test_minsep_scaled_set_not_separating(capsys, monkeypatch):
 
 def test_minsep_walks_once(capsys, monkeypatch):
     walks = []
-    walk = separating._leaf_batches
+    walk = separating._orbit_batches
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(separating, "_leaf_batches", counted)
+    monkeypatch.setattr(separating, "_orbit_batches", counted)
     separating._value_rows.cache_clear()
     rc, lines = run(capsys, "minsep", "--q", "8", "--n", "5")
     assert (rc, lines[2]) == (0, "8,5,4,4,true,1|2|3|4,5,5")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sepsym import exactcount
 from sepsym.errors import ParameterError
+from sepsym.esym import index_set_nq
 from sepsym.exactcount import (
     defect_runs,
     delta3,
@@ -82,6 +83,29 @@ def test_size_sq_examples():
     assert size_sq(2, 2, 4) == 3
     assert size_sq(3, 3, 9) == 5
     assert size_sq(3, 3, 6) == 4
+
+
+SIZE_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256, 1024)
+
+
+def test_size_sq_counts_the_index_set():
+    for q in SIZE_QS:
+        p = prime_power(q)[0]
+        for n in range(1, 600):
+            assert size_sq(q, p, n) == len(index_set_nq(n, q, p)), (q, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SIZE_QS), st.integers(min_value=1, max_value=10 ** 60))
+def test_size_sq_counts_the_index_set_up_to_1e60(q, n):
+    p = prime_power(q)[0]
+    assert size_sq(q, p, n) == len(index_set_nq(n, q, p))
+
+
+def test_size_sq_validation():
+    for q, p, n in ((4, 2, 0), (6, 2, 5), (9, 2, 5), (8, 4, 5), (1, 2, 5)):
+        with pytest.raises(ParameterError):
+            size_sq(q, p, n)
 
 
 def test_n_bounds_gamma_above():
@@ -167,23 +191,28 @@ def _edges(q, top):
         while t <= top:
             points.add(t)
             t *= p
-    power = 1
+    # binom(lo+q-1, q-1) <= power < binom(hi+q-1, q-1) throughout; each edge
+    # lies above the one before, and most below twice it
+    power, lo = 1, 0
     while math.comb(top + q - 1, q - 1) > power:
-        lo, hi = 0, top
+        hi = min(top, 2 * lo + q)
+        if math.comb(hi + q - 1, q - 1) <= power:
+            hi = top
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if math.comb(mid + q - 1, q - 1) > power else (mid, hi)
         points.add(hi)
         power *= q
+        lo = hi - 1
     return sorted(points)
 
 
 @pytest.mark.parametrize("q", DEFECT_QS)
 def test_defect_runs_at_every_edge_up_to_1e60(q):
     # the defect is constant between edges, so comparing n = e - 1 and e
-    # with size_sq - gamma at every edge e checks the whole run list; q = 16,
-    # with about 2300 edges below 10^60, stops at 10^30 to keep this quick
-    top = 10 ** 30 if q == 16 else 10 ** 60
+    # with size_sq - gamma at every edge e checks the whole run list (q = 16
+    # has about 2300 edges below 10^60)
+    top = 10 ** 60
     runs = list(defect_runs(q, 2, top))
     starts = [lo for lo, _, _ in runs]
     for e in _edges(q, top):

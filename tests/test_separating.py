@@ -11,12 +11,13 @@ from sepsym.esym import esym_all, index_set_nq
 from sepsym.exactcount import gamma, orbit_count
 from sepsym.orbits import enumerate_orbits
 from sepsym.separating import (
+    SeparationVerdict,
     _value_rows,
     check_minimal,
     check_separating,
     min_separating_size,
 )
-from support import GRID_CELLS, naive_check, naive_min_size, naive_redundant
+from support import GRID_CELLS, naive_check, naive_min_size, naive_redundant, naive_rows
 
 TABLE_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256)
 
@@ -265,3 +266,28 @@ def test_widest_field_n2_counts():
     assert v.separating
     assert v.witness is None
     assert v.orbit_count == v.fingerprint_count == 524_800
+
+
+# Long vectors, where most orbits have a zero and most batches hold one or
+# two orbits: the scaled set, the full set, a set of size gamma - 1, which
+# must give a witness, and the scaled set without its largest index, whose
+# witness pairs orbits of two different levels of the walk.
+@pytest.mark.parametrize("q,n", [(2, 200), (3, 60), (5, 20), (4, 30)])
+def test_long_vectors_match_naive_oracle(q, n):
+    spec = gf.field_for_order(q)
+    rows = naive_rows(spec, n)
+    sq = index_set_nq(n, q, spec.p)
+    below = random.Random(1000 * q + n).sample(range(1, n + 1), gamma(q, n) - 1)
+    for idx in (sq, range(1, n + 1), below, sq[:-1]):
+        v = check_separating(spec, n, idx)
+        assert (v.separating, v.witness, v.orbit_count, v.fingerprint_count) == \
+            naive_check(spec, n, idx, rows)
+    assert not check_separating(spec, n, below).separating
+
+
+def test_scaled_sets_separate_on_longest_vectors():
+    F2, F3 = gf.field_for_order(2), gf.field_for_order(3)
+    assert check_separating(F2, 1000, index_set_nq(1000, 2, 2)) == \
+        SeparationVerdict(True, None, 1001, 1001)
+    assert check_separating(F3, 120, index_set_nq(120, 3, 3)) == \
+        SeparationVerdict(True, None, 7381, 7381)
