@@ -23,14 +23,18 @@ and that change is the cell both bisection and the two probes find.
 
 A margin, not the width, certifies the bracket: each end of the cell moves
 TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
+
+chi, chi_record and x0_bracket start cold for each q: the scan from n = 1,
+the secant from (chi, chi+1). chi_table sweeps q upward and starts warm:
+each scan from the previous q's chi, each secant (from the third row on)
+next to the root extrapolated from the last two rows. The start decides
+only how many steps and probes are taken; every record equals chi_record's.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from sepsym.errors import ParameterError
@@ -44,9 +48,17 @@ _CELLS = 2 ** 31
 _CELL = 1.0 / _CELLS
 # The secant stops once its step is 64 times narrower than a cell. The cap
 # only bounds the loop: over [2, 10^5] and at 3,000 log-uniform q up to 10^15
-# the secant evaluates the gap at most 5 times.
+# a cold secant evaluates the gap at most 6 times, its two start points
+# included.
 _SECANT_STOP = _CELL / 64
 _SECANT_STEPS = 12
+# On [c, c+1] the gap's second derivative is at most pi^2/6 - 1 and its
+# slope at least 0.36, so a secant step from errors e0, e1 leaves an error of
+# at most 0.9*|e0|*|e1|.
+_SECANT_CONTRACTION = 0.9
+# The width of a warm secant's start pair: its two gap values differ by at
+# least 0.36 * 2^-24 ~ 2e-8, far above their 1e-14 error.
+_WARM_WIDTH = 2.0 ** -24
 
 # Validity threshold of the auxiliary positivity check: e**(e**2) ~ 1618.18.
 EE2 = math.exp(math.exp(2.0))
@@ -72,10 +84,29 @@ def chi_exact(q: int) -> int:
     """
     if q < 2:
         raise ParameterError(f"q must be >= 2, got {q}")
-    n = 1
+    return _scan_up(q, 1)
+
+
+def _scan_up(q: int, n: int) -> int:
+    """Largest chi >= n with the criterion at chi, given that it holds at n."""
     while least_possible_criterion(q, n + 1):
         n += 1
     return n
+
+
+def chi_sweep(q_min: int, q_max: int):
+    """(q, chi_exact(q)) for q = q_min..q_max, each scan started from the previous q's chi.
+
+    The criterion holds exactly for the integers n < x_0 (the gap is convex
+    and negative at x = 1), so where it holds at the previous chi the scan
+    steps up from there, and elsewhere it starts again from n = 1.
+    """
+    c = 1
+    for q in range(q_min, q_max + 1):
+        if not least_possible_criterion(q, c):
+            c = 1
+        c = _scan_up(q, c)
+        yield q, c
 
 
 def _gap(q: int):
@@ -140,27 +171,32 @@ def _cell(gap, c: int, x_hat: float):
     return x, x + _CELL
 
 
-def _bracket(q: int, c: int):
+def _bracket(q: int, c: int, start=None):
     """Bracket the root inside [c, c+1], where c == chi_exact(q).
 
-    A secant iteration from (c, c+1) estimates the root (the gap is convex,
-    with second derivative sum 1/(x+i)**2, so it converges from the
-    bracket), and _cell confirms the grid cell of width _CELL < TOL/2 around
-    it: the cell bisection would end in. Then each end moves TOL/4 outward:
+    A secant iteration from the pair start, or else from (c, c+1), estimates
+    the root (the gap is convex, with second derivative sum 1/(x+i)**2, so it
+    converges from the bracket), and _cell confirms the grid cell of width
+    _CELL < TOL/2 around it: the cell bisection would end in. The secant
+    stops once its step, or the error bound of the point it stepped to, is
+    below _SECANT_STOP; the start changes only how many evaluations it and
+    _cell take, never the cell. Then each end moves TOL/4 outward:
     the gap has slope >= 0.36 on [c, c+1] (least at q = 2) and an error near
     1e-14, so each moved end has |gap| >= 9e-11 on its own side of the root.
     An integer root c+1 (q**c == binom(c+q, c+1)) ends strictly inside;
     other brackets are clamped to [c, c+1].
     """
     gap = _gap(q)
-    x0, x1 = float(c), float(c + 1)
+    x0, x1 = start or (float(c), float(c + 1))
     g0, g1 = gap(x0), gap(x1)
     for _ in range(_SECANT_STEPS):
         if g1 == g0:
             break
         step = g1 * (x1 - x0) / (g1 - g0)
+        # |e1| is about |step| and |e0| about |step| + |x1 - x0|
+        error = _SECANT_CONTRACTION * abs(step) * (abs(step) + abs(x1 - x0))
         x0, g0, x1 = x1, g1, x1 - step
-        if abs(step) < _SECANT_STOP:
+        if abs(step) < _SECANT_STOP or error < _SECANT_STOP:
             break
         g1 = gap(x1)
     lo, hi = _cell(gap, c, x1)
@@ -201,23 +237,31 @@ def chi_record(q: int) -> ChiRecord:
     return ChiRecord(q, c, lo, hi, is_int, lnln_floor(q))
 
 
-def chi_table(q_min: int, q_max: int, jobs: int = 1) -> list[ChiRecord]:
-    """ChiRecord for every q in [q_min, q_max], ordered by q.
+def _warm_start(c: int, r1: float, r2: float):
+    """A secant start pair at 2*r1 - r2, extrapolated from the previous two roots r1 and r2.
 
-    With jobs > 1 the independent q values are fanned out across worker
-    processes, at most one per row and per CPU; the output order stays by q
-    regardless of completion order.
+    The pair is clamped into [c, c+1].
+    """
+    x = min(max(2.0 * r1 - r2, float(c)), c + 1.0 - _WARM_WIDTH)
+    return x, x + _WARM_WIDTH
+
+
+def chi_table(q_min: int, q_max: int) -> list[ChiRecord]:
+    """ChiRecord for every q in [q_min, q_max], ordered by q; each equals chi_record(q).
+
+    One upward sweep: chi comes from chi_sweep, and from the third row on the
+    secant starts next to the root extrapolated from the midpoints of the
+    previous two brackets.
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
-    qs = range(q_min, q_max + 1)
-    # the pool starts all its workers at once, so never ask for more than can run
-    jobs = min(jobs, len(qs), os.cpu_count() or 1)
-    if jobs > 1:
-        chunk = max(1, len(qs) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(chi_record, qs, chunksize=chunk))
-    return [chi_record(q) for q in qs]
+    records = []
+    r1 = r2 = None
+    for q, c in chi_sweep(q_min, q_max):
+        lo, hi, is_int = _bracket(q, c, None if r2 is None else _warm_start(c, r1, r2))
+        records.append(ChiRecord(q, c, lo, hi, is_int, lnln_floor(q)))
+        r1, r2 = 0.5 * (lo + hi), r1
+    return records
 
 
 def technical_expression(q: float) -> float:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from sepsym import chi, esym, exactcount, f3, gf, separating
 from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
@@ -35,14 +37,15 @@ EXIT_PIPE_CLOSED = 128 + 13  # 128 + SIGPIPE, as a shell reports it
 
 # ---------------------------------------------------------------- output --
 
+_CSV_CELL = {type(None): lambda v: "", bool: ("false", "true").__getitem__, float: repr}
+_JSON_VALUE = {type(None): lambda v: "null", bool: ("false", "true").__getitem__,
+               int: int.__repr__, str: encode_basestring_ascii,
+               float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v)}
+
+
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """A CSV cell: empty for None, true/false, repr for a float, str for the rest."""
+    return _CSV_CELL.get(type(value), str)(value)
 
 
 class TableWriter:
@@ -52,15 +55,22 @@ class TableWriter:
         self.stream = stream
         self.fmt = fmt
         self.columns = tuple(columns)
+        # a JSON line is '{' + '"column": value' joined by ', ' + '}', as json.dumps writes a dict
+        self._keys = tuple(json.dumps(c) + ": " for c in self.columns)
         if fmt == "csv":
             print(SCHEMA_TAG, file=stream)
             print(",".join(self.columns), file=stream)
 
-    def row(self, record: dict):
+    def row(self, values):
+        """One row from a tuple of values in column order."""
         if self.fmt == "csv":
-            print(",".join(_cell(record.get(c)) for c in self.columns), file=self.stream)
+            get = _CSV_CELL.get
+            line = ",".join([get(type(v), str)(v) for v in values])
         else:
-            print(json.dumps(record), file=self.stream)
+            get = _JSON_VALUE.get
+            line = "{" + ", ".join([k + get(type(v), json.dumps)(v)
+                                    for k, v in zip(self._keys, values)]) + "}"
+        self.stream.write(line + "\n")
 
     def summary(self, record: dict):
         if self.fmt == "csv":
@@ -110,11 +120,18 @@ def _load_golden_ranges():
     return rows
 
 
-def _golden_chi(q: int, ranges) -> int | None:
-    for lo, hi, c in ranges:
-        if lo <= q <= hi:
-            return c
-    return None
+def _golden_chi(qs, ranges):
+    """The golden chi of each q in the increasing iterable qs, None where no range holds q.
+
+    The ranges are disjoint and sorted by q, as the shipped table is, so one
+    walk over them follows q.
+    """
+    ranges = iter(ranges)
+    lo, hi, c = next(ranges, (None, None, None))
+    for q in qs:
+        while hi is not None and hi < q:
+            lo, hi, c = next(ranges, (None, None, None))
+        yield c if hi is not None and lo <= q else None
 
 
 # ------------------------------------------------------------- plumbing --
@@ -126,15 +143,8 @@ def _parse_index_list(text: str) -> tuple[int, ...]:
         raise ParameterError(f"could not parse index list {text!r}")
 
 
-def _chi_row(rec: chi.ChiRecord) -> dict:
-    return {
-        "q": rec.q,
-        "chi": rec.chi,
-        "x0_lo": rec.x0_lo,
-        "x0_hi": rec.x0_hi,
-        "x0_is_integer": rec.x0_is_integer,
-        "lnln_floor": rec.lower_bound,
-    }
+def _chi_row(rec: chi.ChiRecord) -> tuple:
+    return (rec.q, rec.chi, rec.x0_lo, rec.x0_hi, rec.x0_is_integer, rec.lower_bound)
 
 
 CHI_COLUMNS = ("q", "chi", "x0_lo", "x0_hi", "x0_is_integer", "lnln_floor")
@@ -145,22 +155,15 @@ CHI_COLUMNS = ("q", "chi", "x0_lo", "x0_hi", "x0_is_integer", "lnln_floor")
 def _cmd_gamma(args, stream) -> int:
     q, n = args.q, args.n
     pk = gf.prime_power(q)
-    record = {
-        "q": q,
-        "n": n,
-        "orbits": exactcount.orbit_count(q, n),
-        "gamma": exactcount.gamma(q, n),
-        "size_s": None,
-        "size_sq": None,
-        "delta": None,
-    }
+    g = exactcount.gamma(q, n)
+    size_s = size_sq = delta = None
     if pk is not None:
-        record["size_s"] = n
-        record["size_sq"] = exactcount.size_sq(q, pk[0], n)
-        record["delta"] = record["size_sq"] - record["gamma"]
+        size_s = n
+        size_sq = exactcount.size_sq(q, pk[0], n)
+        delta = size_sq - g
     writer = TableWriter(stream, args.format,
                          ("q", "n", "orbits", "gamma", "size_s", "size_sq", "delta"))
-    writer.row(record)
+    writer.row((q, n, exactcount.orbit_count(q, n), g, size_s, size_sq, delta))
     return EXIT_OK
 
 
@@ -179,7 +182,7 @@ def _cmd_chi_table(args, stream) -> int:
         raise ParameterError(f"require 2 <= q-min <= q-max, got [{q_min}, {q_max}]")
     if q_max > MAX_TABLE_Q:
         raise ParameterError(f"q-max above the supported cap {MAX_TABLE_Q}")
-    if args.jobs < 1:
+    if args.jobs < 1:  # checked, otherwise ignored: --jobs is kept only so that old calls parse
         raise ParameterError(f"worker count must be >= 1, got {args.jobs}")
     if args.verify_golden:
         ranges = _load_golden_ranges()
@@ -189,15 +192,14 @@ def _cmd_chi_table(args, stream) -> int:
             raise ParameterError(
                 f"the golden table covers q in [{lo_cov}, {hi_cov}]; "
                 f"requested [{q_min}, {q_max}]")
-        mismatches = []
-        for q in range(q_min, q_max + 1):
-            expected, actual = _golden_chi(q, ranges), chi.chi_exact(q)
-            if actual != expected:
-                mismatches.append((q, expected, actual))
+        qs = range(q_min, q_max + 1)
+        mismatches = [(q, expected, actual) for (q, actual), expected
+                      in zip(chi.chi_sweep(q_min, q_max), _golden_chi(qs, ranges))
+                      if actual != expected]
         if mismatches:
             writer = TableWriter(stream, args.format, ("q", "chi_expected", "chi_actual"))
-            for q, expected, actual in mismatches:
-                writer.row({"q": q, "chi_expected": expected, "chi_actual": actual})
+            for mismatch in mismatches:
+                writer.row(mismatch)
             writer.summary({"verified": False, "mismatches": len(mismatches)})
             return EXIT_VERIFY_FAILED
         count = q_max - q_min + 1
@@ -208,7 +210,7 @@ def _cmd_chi_table(args, stream) -> int:
             print(json.dumps({"verified": True, "q_min": q_min, "q_max": q_max,
                               "count": count}), file=stream)
         return EXIT_OK
-    records = chi.chi_table(q_min, q_max, jobs=args.jobs)
+    records = chi.chi_table(q_min, q_max)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
     for rec in records:
         writer.row(_chi_row(rec))
@@ -245,7 +247,7 @@ def _cmd_delta3(args, stream) -> int:
             continue
         mismatches += hi - lo + 1
         for n in range(lo, hi + 1):
-            writer.row({"n": n, "delta_exact": exact, "delta_predicted": predicted, "kind": kind})
+            writer.row((n, exact, predicted, kind))
     summary = {"delta0": counts.get(0, 0), "delta1": counts.get(1, 0)}
     if args.verify:
         summary["verified"] = not mismatches
@@ -259,10 +261,10 @@ def _cmd_classify3(args, stream) -> int:
     if n_min > n_max:
         raise ParameterError(f"require n-min <= n-max, got [{n_min}, {n_max}]")
     rows = f3.classify3_range(n_min, n_max)  # rejects n_min < 9 before any output
-    columns = ("n", "r", "kind", "alpha", "beta", "delta", "delta_predicted")
-    writer = TableWriter(stream, args.format, columns)
+    writer = TableWriter(stream, args.format,
+                         ("n", "r", "kind", "alpha", "beta", "delta", "delta_predicted"))
     for row in rows:
-        writer.row(dict(zip(columns, row)))
+        writer.row(row)
     return EXIT_OK
 
 
@@ -282,17 +284,10 @@ def _cmd_check_sep(args, stream) -> int:
     writer = TableWriter(stream, args.format,
                          ("q", "n", "T", "separating", "orbit_count",
                           "fingerprint_count", "witness_a", "witness_b"))
-    record = {
-        "q": field.q,
-        "n": n,
-        "T": _join(sorted(set(indices))),
-        "separating": verdict.separating,
-        "orbit_count": verdict.orbit_count,
-        "fingerprint_count": verdict.fingerprint_count,
-        "witness_a": _join(verdict.witness[0]) if verdict.witness else None,
-        "witness_b": _join(verdict.witness[1]) if verdict.witness else None,
-    }
-    writer.row(record)
+    writer.row((field.q, n, _join(sorted(set(indices))), verdict.separating,
+                verdict.orbit_count, verdict.fingerprint_count,
+                _join(verdict.witness[0]) if verdict.witness else None,
+                _join(verdict.witness[1]) if verdict.witness else None))
     return EXIT_OK if verdict.separating else EXIT_VERIFY_FAILED
 
 
@@ -310,16 +305,7 @@ def _cmd_minsep(args, stream) -> int:
     writer = TableWriter(stream, args.format,
                          ("q", "n", "min_size", "gamma", "equals_gamma",
                           "witness", "sq_size", "sq_redundant"))
-    writer.row({
-        "q": field.q,
-        "n": n,
-        "min_size": size,
-        "gamma": g,
-        "equals_gamma": size == g,
-        "witness": _join(witness),
-        "sq_size": len(sq),
-        "sq_redundant": sq_redundant,
-    })
+    writer.row((field.q, n, size, g, size == g, _join(witness), len(sq), sq_redundant))
     return EXIT_OK
 
 
@@ -329,7 +315,7 @@ def _cmd_orbits(args, stream) -> int:
     writer = TableWriter(stream, args.format, ("rep",))
     total = 0
     for rep in reps:
-        writer.row({"rep": _join(rep)})
+        writer.row((_join(rep),))
         total += 1
     writer.summary({"count": total})
     return EXIT_OK
@@ -365,8 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-min", type=int, required=True, dest="q_min")
     p.add_argument("--q-max", type=int, required=True, dest="q_max")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for table rows (default 1); "
-                        "--verify-golden runs in one process")
+                   help="ignored, since tables run in one process; still accepted (and "
+                        "must be >= 1) because the benchmark workloads pass it, until "
+                        "they next change")
     p.add_argument("--verify-golden", action="store_true", dest="verify_golden",
                    help="compare against the shipped golden table instead of printing rows")
     _add_common(p)

@@ -25,13 +25,22 @@ def orbit_count(q: int, n: int) -> int:
 
 
 def floor_log(base: int, m: int) -> int:
-    """Largest k with base**k <= m, exactly."""
+    """Largest k with base**k <= m, exactly.
+
+    2**(L-1) <= m < 2**L for L = m.bit_length(), so (L-1) / log2(base) is at
+    most one below the answer; exact comparisons of powers settle it, the
+    first loop only when rounding of log2(base) put the estimate one above.
+    """
     if base < 2:
         raise ParameterError(f"base must be >= 2, got {base}")
     if m < 1:
         raise ParameterError(f"floor_log is defined for m >= 1, got {m}")
-    k = 0
-    power = base
+    k = int((m.bit_length() - 1) / math.log2(base))
+    power = base ** k
+    while power > m:
+        k -= 1
+        power //= base
+    power *= base
     while power <= m:
         k += 1
         power *= base

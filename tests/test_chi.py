@@ -191,18 +191,77 @@ def test_bracket_gap_evaluations_per_q(monkeypatch):
     assert max(counts) <= 16
 
 
+def test_sweep_gap_evaluations_per_q(monkeypatch):
+    # warm starts: two secant points, one step, two cell probes for nearly every q
+    per_q = []
+    gap = chi._gap
+
+    def recorded(q):
+        g, seen = _recording(gap(q))
+        per_q.append(seen)
+        return g
+    monkeypatch.setattr(chi, "_gap", recorded)
+    chi.chi_table(2, 10 ** 4)
+    counts = [len(seen) for seen in per_q]
+    assert len(counts) == 10 ** 4 - 1
+    assert sum(counts) / len(counts) <= 4.5
+
+
+def _records(lo, hi):
+    return [chi.chi_record(q) for q in range(lo, hi + 1)]
+
+
+def test_chi_table_equals_records_over_table_start():
+    assert chi.chi_table(2, 2 * 10 ** 4) == _records(2, 2 * 10 ** 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10 ** 6), st.integers(0, 299))
+def test_chi_table_equals_records_on_windows(lo, length):
+    assert chi.chi_table(lo, lo + length) == _records(lo, lo + length)
+
+
+# from q = 2 and 3 (one and two cold rows), and across the steps of chi
+# 3 -> 4 -> 5 -> 6 -> 7 at q = 18, 110, 705 and 5019
+@pytest.mark.parametrize("lo, hi", [(2, 2), (2, 3), (2, 40), (3, 3), (3, 4), (3, 30), (17, 18),
+                                    (18, 19), (15, 21), (109, 110), (106, 113), (704, 705),
+                                    (700, 710), (5018, 5019), (5010, 5030)])
+def test_chi_table_windows_at_the_start_and_across_chi_steps(lo, hi):
+    assert chi.chi_table(lo, hi) == _records(lo, hi)
+
+
+@pytest.mark.parametrize("cells", [-2 ** 31, -2 ** 20, -1000, -3, 3, 1000, 2 ** 20, 2 ** 31])
+def test_chi_table_from_a_start_cells_away(monkeypatch, cells):
+    want = _records(2, 200) + _records(5000, 5100)
+    warm, starts = chi._warm_start, []
+
+    def shifted(c, r1, r2):
+        x0, x1 = warm(c, r1, r2)
+        starts.append(x0)
+        return x0 + cells * chi._CELL, x1 + cells * chi._CELL
+    monkeypatch.setattr(chi, "_warm_start", shifted)
+    assert chi.chi_table(2, 200) + chi.chi_table(5000, 5100) == want
+    # every row but the first two of each table started from a shifted pair
+    assert len(starts) == 197 + 99
+
+
+def test_chi_sweep_rescans_when_chi_falls(monkeypatch):
+    # chi does not fall over any tested range; a criterion that answers for q = 10 at
+    # q = 20 makes it fall from 4 to 3, and the sweep starts again from n = 1
+    criterion = chi.least_possible_criterion
+    monkeypatch.setattr(chi, "least_possible_criterion",
+                        lambda q, n: criterion(10 if q == 20 else q, n))
+    swept = list(chi.chi_sweep(2, 40))
+    assert swept == [(q, chi.chi_exact(q)) for q in range(2, 41)]
+    assert [c for q, c in swept if 19 <= q <= 21] == [4, 3, 4]
+
+
 def test_chi_table_examples():
     recs = chi.chi_table(2, 17)
     assert [r.chi for r in recs] == [2] + [3] * 15
     assert [r.q for r in recs] == list(range(2, 18))
     assert [r.chi for r in chi.chi_table(109, 110)] == [4, 5]
     assert [r.chi for r in chi.chi_table(704, 705)] == [5, 6]
-
-
-def test_chi_table_parallel_matches_serial():
-    serial = chi.chi_table(2, 40)
-    parallel = chi.chi_table(2, 40, jobs=2)
-    assert serial == parallel
 
 
 def test_chi_table_validation():

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -6,9 +8,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sepsym
-from sepsym import chi, cli, f3, separating
+from sepsym import cli, f3, separating
 from sepsym.errors import NotSeparatingError, ParameterError
 from sepsym.exactcount import delta3
 from support import naive_defect
@@ -31,6 +35,49 @@ def run(capsys, *argv):
 
 def json_rows(lines):
     return [json.loads(line) for line in lines if line.startswith("{")]
+
+
+def _old_cell(value) -> str:
+    """The CSV cell as an isinstance chain: the oracle for the writer's type dispatch."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+CELL_VALUES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, math.inf, -math.inf, math.nan]),
+    st.text(), st.sampled_from(['"', '\\', 'a,b', "\u00e9\u2603", "\x00\x1f\x7f", "\n\t", ""]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.text(), CELL_VALUES), max_size=8, unique_by=lambda kv: kv[0]))
+def test_writer_rows_equal_the_cell_join_and_json_dumps(pairs):
+    columns = tuple(k for k, _ in pairs)
+    values = tuple(v for _, v in pairs)
+    for fmt, want in (("csv", ",".join(_old_cell(v) for v in values)),
+                      ("json", json.dumps(dict(zip(columns, values))))):
+        stream = io.StringIO()
+        writer = cli.TableWriter(stream, fmt, columns)
+        head = stream.getvalue()
+        writer.row(values)
+        assert stream.getvalue() == head + want + "\n"
+
+
+def test_import_loads_no_process_pool():
+    # the pool's import cost a third of sepsym's import time
+    code = ("import sys, sepsym, sepsym.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_gamma_csv(capsys):
@@ -100,6 +147,13 @@ def test_chi_table_verify_golden_mismatch(capsys, monkeypatch):
     assert any("mismatches=3" in line for line in lines)
 
 
+def test_golden_walk_follows_q_across_gaps():
+    ranges = [(2, 5, 2), (10, 20, 3), (21, 21, 4)]
+    want = [next((c for lo, hi, c in ranges if lo <= q <= hi), None) for q in range(1, 26)]
+    assert list(cli._golden_chi(range(1, 26), ranges)) == want
+    assert want[:11] == [None, 2, 2, 2, 2, None, None, None, None, 3, 3]
+
+
 def test_chi_table_range_validation(capsys):
     rc, _ = run(capsys, "chi-table", "--q-min", "9", "--q-max", "4")
     assert rc == 2
@@ -118,40 +172,6 @@ def test_jobs_keep_output(capsys, monkeypatch):
     monkeypatch.setenv("SEPSYM_JOBS", "zero")
     rc, _ = run(capsys, *table)
     assert rc == 0
-
-
-def test_jobs_capped_by_rows_and_cpus(capsys, monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    table = ("chi-table", "--q-min", "2", "--q-max", "10")
-    want = run(capsys, *table, "--jobs", "1")
-    monkeypatch.setattr(chi, "ProcessPoolExecutor", SerialPool)
-    # at most one worker per row (9 here) and per CPU
-    for cpus, workers in ((64, 9), (4, 4)):
-        monkeypatch.setattr(chi.os, "cpu_count", lambda: cpus)
-        assert run(capsys, *table, "--jobs", "1000000") == want
-        assert sizes.pop() == workers
-    # one CPU (or an unknown count), or one row: no pool at all
-    monkeypatch.setattr(chi.os, "cpu_count", lambda: None)
-    assert run(capsys, *table, "--jobs", "1000000") == want
-    monkeypatch.setattr(chi.os, "cpu_count", lambda: 64)
-    assert run(capsys, "chi-table", "--q-min", "7", "--q-max", "7", "--jobs", "8")[0] == 0
-    assert sizes == []
 
 
 def test_jobs_flag_validation(capsys):

@@ -47,6 +47,41 @@ def test_floor_log_brackets_powers():
             assert floor_log(base, m + 1) == (k + 1 if base ** (k + 1) == m + 1 else k)
 
 
+def _floor_log_by_products(base, m):
+    """The oracle: multiply up from base**0 while the next power is <= m."""
+    k, power = 0, base
+    while power <= m:
+        k, power = k + 1, power * base
+    return k
+
+
+def test_floor_log_at_and_next_to_every_power():
+    for base in range(2, 38):
+        for k in range(401):
+            m = base ** k
+            for x in (m - 1, m, m + 1):
+                if x >= 1:
+                    assert floor_log(base, x) == _floor_log_by_products(base, x), (base, x)
+
+
+def test_floor_log_where_the_estimate_rounds_up():
+    # next to a power of 2 the estimate from bit lengths can come out one
+    # above the answer (base 2**60 + 1 at m = 2**60); the exact comparisons
+    # take it back
+    for base in (2 ** j + d for j in (53, 60, 200) for d in (-1, 1)):
+        for k in range(21):
+            m = base ** k
+            for x in (m - 1, m, m + 1, 2 ** (m.bit_length() - 1)):
+                if x >= 1:
+                    assert floor_log(base, x) == _floor_log_by_products(base, x), (base, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 6) | st.integers(2, 10 ** 40), st.integers(1, 10 ** 300))
+def test_floor_log_equals_the_product_loop(base, m):
+    assert floor_log(base, m) == _floor_log_by_products(base, m)
+
+
 def test_floor_log_validation():
     with pytest.raises(ParameterError):
         floor_log(3, 0)
