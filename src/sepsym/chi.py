@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from sepsym.errors import ParameterError
 from sepsym.exactcount import least_possible_criterion
@@ -64,9 +64,11 @@ _WARM_WIDTH = 2.0 ** -24
 EE2 = math.exp(math.exp(2.0))
 
 
-@dataclass(frozen=True)
-class ChiRecord:
-    """Per-q result: exact chi, the root bracket, and the floor(ln ln q) lower bound."""
+class ChiRecord(NamedTuple):
+    """Per-q result: exact chi, the root bracket, and the floor(ln ln q) lower bound.
+
+    The fields are in the order of the chi table's columns, so a record is its row.
+    """
 
     q: int
     chi: int

@@ -143,10 +143,7 @@ def _parse_index_list(text: str) -> tuple[int, ...]:
         raise ParameterError(f"could not parse index list {text!r}")
 
 
-def _chi_row(rec: chi.ChiRecord) -> tuple:
-    return (rec.q, rec.chi, rec.x0_lo, rec.x0_hi, rec.x0_is_integer, rec.lower_bound)
-
-
+# the fields of chi.ChiRecord, in order: a record is its row
 CHI_COLUMNS = ("q", "chi", "x0_lo", "x0_hi", "x0_is_integer", "lnln_floor")
 
 
@@ -154,8 +151,13 @@ CHI_COLUMNS = ("q", "chi", "x0_lo", "x0_hi", "x0_is_integer", "lnln_floor")
 
 def _cmd_gamma(args, stream) -> int:
     q, n = args.q, args.n
+    orbits = exactcount.orbit_count(q, n)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if limit and orbits >= 10 ** limit:
+        raise ScaleError(f"the orbit count for q={q}, n={n} has more than {limit} digits, "
+                         "more than Python converts to text")
+    g = exactcount.floor_log(q, orbits - 1) + 1  # gamma(q, n), from the count in hand
     pk = gf.prime_power(q)
-    g = exactcount.gamma(q, n)
     size_s = size_sq = delta = None
     if pk is not None:
         size_s = n
@@ -163,7 +165,7 @@ def _cmd_gamma(args, stream) -> int:
         delta = size_sq - g
     writer = TableWriter(stream, args.format,
                          ("q", "n", "orbits", "gamma", "size_s", "size_sq", "delta"))
-    writer.row((q, n, exactcount.orbit_count(q, n), g, size_s, size_sq, delta))
+    writer.row((q, n, orbits, g, size_s, size_sq, delta))
     return EXIT_OK
 
 
@@ -172,7 +174,7 @@ def _cmd_chi(args, stream) -> int:
         raise ParameterError(f"q above the supported cap {MAX_CHI_Q}")
     rec = chi.chi_record(args.q)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
-    writer.row(_chi_row(rec))
+    writer.row(rec)
     return EXIT_OK
 
 
@@ -213,7 +215,7 @@ def _cmd_chi_table(args, stream) -> int:
     records = chi.chi_table(q_min, q_max)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
     for rec in records:
-        writer.row(_chi_row(rec))
+        writer.row(rec)
     return EXIT_OK
 
 

@@ -1,42 +1,21 @@
 """Elementary symmetric evaluations and the power-scaled index sets.
 
 esym_all reads the values s_1(v), ..., s_n(v) off the coefficients of the
-product prod_i (1 + v_i z), built one factor at a time by
-convolution_step. That costs O(n^2) field multiplications and no divisions,
-so it is exact in every characteristic (Newton-style recurrences would
-divide by small integers that vanish mod p). The orbit walk in
-sepsym.separating takes the same step, s'_j = s_j + x s_{j-1}, for a whole
-batch of orbits at once, one new factor per orbit.
+product prod_i (1 + v_i z), multiplied in one nonzero factor at a time:
+s'_j = s_j + x s_{j-1}, with s_0 = 1. A step costs one field product and
+one sum per value held, and the values grow with the nonzero entries seen,
+so a vector costs O(n^2) operations at most and no divisions: exact in every
+characteristic (Newton-style recurrences would divide by small integers
+that vanish mod p). The orbit walk in sepsym.separating takes the same step
+for a whole batch of orbits at once, one new factor per orbit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from sepsym.errors import ParameterError
 from sepsym.gf import FieldSpec, is_prime
-
-
-def convolution_step(spec: FieldSpec) -> Callable[[tuple[int, ...], int], tuple[int, ...]]:
-    """The convolution step over spec: multiply a product by one more factor.
-
-    The returned step(values, x) takes the values (s_1, ..., s_m) of a
-    product P(z) = 1 + s_1 z + ... + s_m z^m of m nonzero factors (1 + v_i z)
-    and a nonzero element x, and returns the m + 1 values of P(z) * (1 + x z):
-    s'_j = s_j + x s_{j-1}, with s_0 = 1 and s_{m+1} = 0. One step costs O(m)
-    field operations, read from the field's tables, which the step binds
-    when it is made: so make it only where a product can occur.
-    """
-    add_t, mul_t = spec.tables
-
-    def step(values, x):
-        if not values:
-            return (x,)
-        mx = mul_t[x]
-        return (add_t[values[0]][x],
-                *[add_t[a][mx[b]] for a, b in zip(values[1:], values)],
-                mx[values[-1]])
-    return step
 
 
 def esym_all(v: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
@@ -48,11 +27,12 @@ def esym_all(v: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
             raise ParameterError(f"element index {x} outside [0, {q})")
     if n < 2:  # no product: s_1 = v_1, and the tables stay unbuilt
         return tuple(v)
-    step = convolution_step(spec)
-    values = ()
+    add_t, mul_t = spec.tables
+    values = ()  # s_1, ..., s_m of the product of the m nonzero factors so far
     for x in v:
-        if x:
-            values = step(values, x)
+        if x:  # times (1 + x z): s'_j = s_j + x s_{j-1}, with s_0 = 1 and s_{m+1} = 0
+            mx = mul_t[x]
+            values = tuple([add_t[a][mx[b]] for a, b in zip((*values, 0), (1, *values))])
     return values + (0,) * (n - len(values))
 
 

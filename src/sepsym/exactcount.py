@@ -51,15 +51,10 @@ def gamma(q: int, n: int) -> int:
     """Least conceivable separating-set size: smallest k with q**k >= orbit_count(q, n).
 
     A set of k index functions yields at most q**k distinct fingerprints, so
-    fewer than gamma of them can never tell all orbits apart.
+    fewer than gamma of them can never tell all orbits apart. The count is at
+    least q, so q**(k-1) <= count - 1 < q**k.
     """
-    m = orbit_count(q, n)
-    k = 0
-    power = 1
-    while power < m:
-        power *= q
-        k += 1
-    return k
+    return floor_log(q, orbit_count(q, n) - 1) + 1
 
 
 def size_sq(q: int, p: int, n: int) -> int:

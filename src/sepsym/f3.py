@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from sepsym.errors import ParameterError
 from sepsym.exactcount import floor_log
@@ -98,8 +98,7 @@ def delta_small_of(n: int) -> int:
     return 1 if n < 2 * 3 ** r else 2
 
 
-@dataclass(frozen=True)
-class F3Class:
+class F3Class(NamedTuple):
     n: int
     r: int
     kind: str
@@ -150,20 +149,17 @@ def _window_runs(n: int, n_max: int):
 
 
 def classify3_range(n_min: int, n_max: int):
-    """(n, r, kind, alpha, beta, delta, predicted_delta) for n = n_min, ..., n_max >= 9, in order.
-
-    The fields of F3Class, as plain tuples; an empty range yields nothing.
-    """
+    """F3Class of each n = n_min, ..., n_max >= 9, in order; an empty range yields nothing."""
     if n_min < 9:
         raise ParameterError(
             f"interval classification applies for n >= 9; got {n_min} (the defect is 0 below 9)")
-    return ((m, r, kind, *KIND_TERMS[kind], PREDICTED[kind])
+    return (F3Class(m, r, kind, *KIND_TERMS[kind], PREDICTED[kind])
             for lo, hi, r, kind in _window_runs(n_min, n_max) for m in range(lo, hi + 1))
 
 
 def classify3(n: int) -> F3Class:
     """Locate n >= 9 in the five-window partition and read off the defect terms."""
-    return F3Class(*next(classify3_range(n, n)))
+    return next(classify3_range(n, n))
 
 
 def prediction_runs(n_min: int, n_max: int):
@@ -179,15 +175,9 @@ def prediction_runs(n_min: int, n_max: int):
                                    in _window_runs(max(n_min, 9), n_max)))
 
 
-def predicted_delta3_range(n_min: int, n_max: int):
-    """(n, kind, predicted_delta) for n = n_min, ..., n_max >= 2; kind is "-" below 9."""
-    return ((n, kind, predicted) for lo, hi, kind, predicted in prediction_runs(n_min, n_max)
-            for n in range(lo, hi + 1))
-
-
 def predicted_delta3(n: int) -> int:
     """Interval prediction of the defect: constantly 0 for 2 <= n <= 8, classified above."""
-    return next(predicted_delta3_range(n, n))[2]
+    return next(prediction_runs(n, n))[3]
 
 
 def boundary_chain_ok(r: int) -> bool:

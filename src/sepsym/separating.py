@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 # esym_all is not called here, but stays importable from this module: the
@@ -50,8 +49,7 @@ from sepsym.orbits import enumerate_orbits
 MAX_SUBSET_SEARCH_N = 16
 
 
-@dataclass(frozen=True)
-class SeparationVerdict:
+class SeparationVerdict(NamedTuple):
     separating: bool
     witness: tuple | None
     orbit_count: int

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepsym
-from sepsym import cli, f3, separating
+from sepsym import chi, cli, f3, separating
 from sepsym.errors import NotSeparatingError, ParameterError
 from sepsym.exactcount import delta3
 from support import naive_defect
@@ -72,9 +72,10 @@ def test_writer_rows_equal_the_cell_join_and_json_dumps(pairs):
 
 
 def test_import_loads_no_process_pool():
-    # the pool's import cost a third of sepsym's import time
+    # the pool's import cost a third of sepsym's import time; dataclasses
+    # would load inspect, and inspect ast, dis and tokenize
     code = ("import sys, sepsym, sepsym.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
@@ -86,6 +87,33 @@ def test_gamma_csv(capsys):
     assert lines[0] == "# sepsym-table v1"
     assert lines[1] == "q,n,orbits,gamma,size_s,size_sq,delta"
     assert lines[2] == "3,5,21,3,5,3,0"
+
+
+def test_gamma_refuses_an_orbit_count_too_long_to_print(capsys, tmp_path):
+    # Python converts an int of at most get_int_max_str_digits() digits to
+    # text; binom(53000, 3000) has 5,005
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for fmt in ("csv", "json"):
+            rc = cli.main(["gamma", "--q", "3001", "--n", "50000", "--format", fmt])
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (2, "")
+            assert captured.err.startswith("error: ") and "4300 digits" in captured.err
+        out = tmp_path / "gamma.csv"
+        out.write_text("kept\n")
+        assert cli.main(["gamma", "--q", "3001", "--n", "50000", "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+        # at q = 3 the count (n+1)(n+2)/2 reaches 10**640 between n and n + 1
+        sys.set_int_max_str_digits(640)
+        n = math.isqrt(2 * 10 ** 640) - 2
+        while (n + 2) * (n + 3) // 2 < 10 ** 640:
+            n += 1
+        rc, lines = run(capsys, "gamma", "--q", "3", "--n", str(n))
+        assert rc == 0 and lines[2].split(",")[2] == str((n + 1) * (n + 2) // 2)
+        assert run(capsys, "gamma", "--q", "3", "--n", str(n + 1)) == (2, [])
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_gamma_non_prime_power(capsys):
@@ -123,6 +151,19 @@ def test_chi_table_rows(capsys):
     assert len(lines) == 7
     assert lines[2].startswith("2,2,")
     assert lines[3].startswith("3,3,")
+
+
+def test_records_are_their_rows(capsys):
+    # the CLI writes a ChiRecord or an F3Class as it is: field i is column i
+    assert chi.ChiRecord._fields == tuple("lower_bound" if c == "lnln_floor" else c
+                                          for c in cli.CHI_COLUMNS)
+    rc, lines = run(capsys, "classify3", "--n-min", "9", "--n-max", "9")
+    assert rc == 0
+    assert f3.F3Class._fields == tuple("predicted_delta" if c == "delta_predicted" else c
+                                       for c in lines[1].split(","))
+    rc, lines = run(capsys, "chi-table", "--q-min", "2", "--q-max", "40", "--format", "json")
+    assert rc == 0
+    assert json_rows(lines) == [dict(zip(cli.CHI_COLUMNS, rec)) for rec in chi.chi_table(2, 40)]
 
 
 def test_chi_table_verify_golden_ok(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -203,19 +202,18 @@ def _assert_sweeps_match(lo, hi):
     exact = [d for a, b, d in defect_runs(3, lo, hi) for _ in range(a, b + 1)]
     assert exact == [naive_defect(3, n) for n in ns]
     assert exact == [delta3(n) for n in ns]
-    predicted = list(f3.predicted_delta3_range(lo, hi))
+    runs = list(f3.prediction_runs(lo, hi))
+    predicted = [(n, kind, p) for a, b, kind, p in runs for n in range(a, b + 1)]
     assert [p for _, _, p in predicted] == exact
     # the prediction runs: in order, covering [lo, hi], one kind each
-    runs = list(f3.prediction_runs(lo, hi))
     assert [(r[0], r[1]) for r in runs] == [(lo, runs[0][1])] + [(a[1] + 1, b[1]) for a, b
                                                                  in zip(runs, runs[1:])]
     assert runs[-1][1] == hi and all(a <= b for a, b, _, _ in runs)
-    assert [(n, kind, p) for a, b, kind, p in runs for n in range(a, b + 1)] == predicted
     assert predicted == [(n, f3.classify3(n).kind if n >= 9 else "-", f3.predicted_delta3(n))
                          for n in ns]
     if hi >= 9:
         lo9 = max(lo, 9)
-        assert list(f3.classify3_range(lo9, hi)) == [dataclasses.astuple(f3.classify3(n))
+        assert list(f3.classify3_range(lo9, hi)) == [tuple(f3.classify3(n))
                                                      for n in range(lo9, hi + 1)]
 
 
@@ -241,13 +239,10 @@ def test_range_validation_and_empty_ranges():
     with pytest.raises(ParameterError):
         defect_runs(3, 1, 5)
     with pytest.raises(ParameterError):
-        f3.predicted_delta3_range(1, 5)
-    with pytest.raises(ParameterError):
         f3.prediction_runs(1, 5)
     with pytest.raises(ParameterError):
         f3.classify3_range(8, 20)
     assert list(defect_runs(3, 10, 9)) == []
-    assert list(f3.predicted_delta3_range(10, 9)) == []
     assert list(f3.prediction_runs(10, 9)) == []
     assert list(f3.classify3_range(10, 9)) == []
 
