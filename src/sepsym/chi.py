@@ -25,10 +25,12 @@ A margin, not the width, certifies the bracket: each end of the cell moves
 TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
 
 chi, chi_record and x0_bracket start cold for each q: the scan from n = 1,
-the secant from (chi, chi+1). chi_table sweeps q upward and starts warm:
-each scan from the previous q's chi, each secant (from the third row on)
-next to the root extrapolated from the last two rows. The start decides
-only how many steps and probes are taken; every record equals chi_record's.
+the cell search from a secant started at (chi, chi+1). chi_table sweeps q
+upward and starts warm: each scan from the previous q's chi, and from the
+fifth row on each cell search, with no secant, from the cubic extrapolation
+of the last four roots (each interpolated between its cell's two probes).
+The start decides only how many probes are taken; every record equals
+chi_record's.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ _SECANT_STEPS = 12
 # slope at least 0.36, so a secant step from errors e0, e1 leaves an error of
 # at most 0.9*|e0|*|e1|.
 _SECANT_CONTRACTION = 0.9
-# The width of a warm secant's start pair: its two gap values differ by at
-# least 0.36 * 2^-24 ~ 2e-8, far above their 1e-14 error.
-_WARM_WIDTH = 2.0 ** -24
+# chi_table starts a cell search from the cubic extrapolation of the last
+# four roots only where it is this close to the quadratic one.
+_EXTRAPOLATION_AGREEMENT = 64 * _CELL
 
 # Validity threshold of the auxiliary positivity check: e**(e**2) ~ 1618.18.
 EE2 = math.exp(math.exp(2.0))
@@ -137,59 +139,52 @@ def root_gap(q: int, x: float) -> float:
     return _gap(q)(x)
 
 
-def _below(gap, c: int, i: int) -> bool:
-    """gap < 0 at the grid point c + i*_CELL, with gap(c) < 0 <= gap(c+1) given."""
-    return i <= 0 or (i < _CELLS and gap(c + i * _CELL) < 0.0)
+def _at(gap, c: int, i: int) -> float:
+    """gap at the grid point c + i*_CELL; -inf at or below c, inf at or above c+1 (not read)."""
+    if i <= 0:
+        return -math.inf
+    return gap(c + i * _CELL) if i < _CELLS else math.inf
 
 
 def _cell(gap, c: int, x_hat: float):
-    """The grid cell [c + m*_CELL, c + (m+1)*_CELL] where gap changes sign, searched from x_hat.
+    """(lo, hi, root): the grid cell [c + m*_CELL, c + (m+1)*_CELL] where gap changes sign.
 
     Starts in the cell holding x_hat (clamped to [c, c+1]); when its two
     probes do not show the sign change, gallops toward it with doubling
     steps and bisects the grid points between, so an estimate d cells off
     costs about 2*log2(d) probes. Like bisection, it never evaluates c or
-    c+1: gap(c) < 0 and gap(c+1) >= 0 are given.
+    c+1. root lies in the cell: the zero of the line through the gap at its
+    two ends, or the cell's midpoint when one end is c or c+1.
     """
     lo = min(max(math.floor((x_hat - c) * _CELLS), 0), _CELLS - 1)
     hi, step = lo + 1, 1
-    if lo > 0 and gap(c + lo * _CELL) >= 0.0:
-        while True:
-            hi, lo, step = lo, max(lo - step, 0), 2 * step
-            if _below(gap, c, lo):
-                break
-    elif hi < _CELLS and gap(c + hi * _CELL) < 0.0:
-        while True:
-            lo, hi, step = hi, min(hi + step, _CELLS), 2 * step
-            if not _below(gap, c, hi):
-                break
+    g_lo, g_hi = _at(gap, c, lo), _at(gap, c, hi)
+    while g_lo >= 0.0:
+        hi, g_hi, lo, step = lo, g_lo, max(lo - step, 0), 2 * step
+        g_lo = _at(gap, c, lo)
+    while g_hi < 0.0:
+        lo, g_lo, hi, step = hi, g_hi, min(hi + step, _CELLS), 2 * step
+        g_hi = _at(gap, c, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _below(gap, c, mid):
-            lo = mid
+        g = gap(c + mid * _CELL)
+        if g < 0.0:
+            lo, g_lo = mid, g
         else:
-            hi = mid
+            hi, g_hi = mid, g
     x = c + lo * _CELL
-    return x, x + _CELL
+    t = g_lo / (g_lo - g_hi) if math.isfinite(g_lo) and math.isfinite(g_hi) else 0.5
+    return x, x + _CELL, x + t * _CELL
 
 
-def _bracket(q: int, c: int, start=None):
-    """Bracket the root inside [c, c+1], where c == chi_exact(q).
+def _secant(gap, c: int) -> float:
+    """The root in [c, c+1] estimated by a secant iteration from (c, c+1).
 
-    A secant iteration from the pair start, or else from (c, c+1), estimates
-    the root (the gap is convex, with second derivative sum 1/(x+i)**2, so it
-    converges from the bracket), and _cell confirms the grid cell of width
-    _CELL < TOL/2 around it: the cell bisection would end in. The secant
-    stops once its step, or the error bound of the point it stepped to, is
-    below _SECANT_STOP; the start changes only how many evaluations it and
-    _cell take, never the cell. Then each end moves TOL/4 outward:
-    the gap has slope >= 0.36 on [c, c+1] (least at q = 2) and an error near
-    1e-14, so each moved end has |gap| >= 9e-11 on its own side of the root.
-    An integer root c+1 (q**c == binom(c+q, c+1)) ends strictly inside;
-    other brackets are clamped to [c, c+1].
+    The gap is convex, with second derivative sum 1/(x+i)**2, so the
+    iteration converges from the bracket. It stops once its step, or the
+    error bound of the point it stepped to, is below _SECANT_STOP.
     """
-    gap = _gap(q)
-    x0, x1 = start or (float(c), float(c + 1))
+    x0, x1 = float(c), float(c + 1)
     g0, g1 = gap(x0), gap(x1)
     for _ in range(_SECANT_STEPS):
         if g1 == g0:
@@ -201,11 +196,29 @@ def _bracket(q: int, c: int, start=None):
         if abs(step) < _SECANT_STOP or error < _SECANT_STOP:
             break
         g1 = gap(x1)
-    lo, hi = _cell(gap, c, x1)
+    return x1
+
+
+def _from_cell(q: int, c: int, lo: float, hi: float):
+    """(x0_lo, x0_hi, x0_is_integer) from the sign-change cell [lo, hi] of _cell in [c, c+1].
+
+    Each end moves TOL/4 outward: the gap has slope >= 0.36 on [c, c+1]
+    (least at q = 2) and an error near 1e-14, so each moved end has
+    |gap| >= 9e-11 on its own side of the root. An integer root c+1
+    (q**c == binom(c+q, c+1)) ends strictly inside; other brackets are
+    clamped to [c, c+1].
+    """
     lo, hi = lo - TOL / 4, hi + TOL / 4
     if q ** c == math.comb(c + q, c + 1):
         return (lo, hi, True)
     return (max(lo, float(c)), min(hi, float(c + 1)), False)
+
+
+def _bracket(q: int, c: int):
+    """The root's bracket in [c, c+1], c == chi_exact(q), from the cold secant's estimate."""
+    gap = _gap(q)
+    lo, hi, _ = _cell(gap, c, _secant(gap, c))
+    return _from_cell(q, c, lo, hi)
 
 
 def x0_bracket(q: int):
@@ -239,30 +252,36 @@ def chi_record(q: int) -> ChiRecord:
     return ChiRecord(q, c, lo, hi, is_int, lnln_floor(q))
 
 
-def _warm_start(c: int, r1: float, r2: float):
-    """A secant start pair at 2*r1 - r2, extrapolated from the previous two roots r1 and r2.
+def _extrapolate(c: int, r1: float, r2: float, r3: float, r4: float):
+    """The next root, 4*r1 - 6*r2 + 4*r3 - r4 from the last four (r1 the latest), or None.
 
-    The pair is clamped into [c, c+1].
+    None unless it lies in [c, c+1] and within _EXTRAPOLATION_AGREEMENT of
+    the quadratic extrapolation 3*r1 - 3*r2 + r3.
     """
-    x = min(max(2.0 * r1 - r2, float(c)), c + 1.0 - _WARM_WIDTH)
-    return x, x + _WARM_WIDTH
+    x = 4.0 * r1 - 6.0 * r2 + 4.0 * r3 - r4
+    if c <= x <= c + 1 and abs(x - (3.0 * r1 - 3.0 * r2 + r3)) <= _EXTRAPOLATION_AGREEMENT:
+        return x
+    return None
 
 
 def chi_table(q_min: int, q_max: int) -> list[ChiRecord]:
     """ChiRecord for every q in [q_min, q_max], ordered by q; each equals chi_record(q).
 
-    One upward sweep: chi comes from chi_sweep, and from the third row on the
-    secant starts next to the root extrapolated from the midpoints of the
-    previous two brackets.
+    One upward sweep: chi comes from chi_sweep, and from the fifth row on
+    the cell search starts from the root extrapolated from the last four
+    rows' roots where _extrapolate gives one, and from the cold secant's
+    estimate elsewhere.
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
     records = []
-    r1 = r2 = None
+    r1 = r2 = r3 = r4 = None
     for q, c in chi_sweep(q_min, q_max):
-        lo, hi, is_int = _bracket(q, c, None if r2 is None else _warm_start(c, r1, r2))
-        records.append(ChiRecord(q, c, lo, hi, is_int, lnln_floor(q)))
-        r1, r2 = 0.5 * (lo + hi), r1
+        gap = _gap(q)
+        x_hat = None if r4 is None else _extrapolate(c, r1, r2, r3, r4)
+        lo, hi, root = _cell(gap, c, _secant(gap, c) if x_hat is None else x_hat)
+        records.append(ChiRecord(q, c, *_from_cell(q, c, lo, hi), lnln_floor(q)))
+        r1, r2, r3, r4 = root, r1, r2, r3
     return records
 
 

@@ -33,6 +33,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PIPE_CLOSED = 128 + 13  # 128 + SIGPIPE, as a shell reports it
+ROWS_PER_WRITE = 1024  # by TableWriter.rows, so a long run never builds one long string
 
 
 # ---------------------------------------------------------------- output --
@@ -43,11 +44,6 @@ _JSON_VALUE = {type(None): lambda v: "null", bool: ("false", "true").__getitem__
                float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v)}
 
 
-def _cell(value) -> str:
-    """A CSV cell: empty for None, true/false, repr for a float, str for the rest."""
-    return _CSV_CELL.get(type(value), str)(value)
-
-
 class TableWriter:
     """Emit rows as versioned CSV or as one flat JSON object per line."""
 
@@ -55,26 +51,40 @@ class TableWriter:
         self.stream = stream
         self.fmt = fmt
         self.columns = tuple(columns)
-        # a JSON line is '{' + '"column": value' joined by ', ' + '}', as json.dumps writes a dict
+        # a line is open + the cells joined by sep + end; a JSON cell is '"column": value',
+        # as json.dumps writes a dict
         self._keys = tuple(json.dumps(c) + ": " for c in self.columns)
+        self._open, self._sep, self._end = ("", ",", "\n") if fmt == "csv" else ("{", ", ", "}\n")
         if fmt == "csv":
             print(SCHEMA_TAG, file=stream)
             print(",".join(self.columns), file=stream)
 
-    def row(self, values):
-        """One row from a tuple of values in column order."""
+    def _cells(self, values, keys):
+        """The cells of values; in JSON each with its key, from keys, in front."""
         if self.fmt == "csv":
             get = _CSV_CELL.get
-            line = ",".join([get(type(v), str)(v) for v in values])
-        else:
-            get = _JSON_VALUE.get
-            line = "{" + ", ".join([k + get(type(v), json.dumps)(v)
-                                    for k, v in zip(self._keys, values)]) + "}"
-        self.stream.write(line + "\n")
+            return [get(type(v), str)(v) for v in values]
+        get = _JSON_VALUE.get
+        return [k + get(type(v), json.dumps)(v) for k, v in zip(keys, values)]
+
+    def row(self, values):
+        """One row from a tuple of values in column order."""
+        self.stream.write(self._open + self._sep.join(self._cells(values, self._keys)) + self._end)
+
+    def rows(self, lo: int, hi: int, rest):
+        """The rows (n, *rest) for n = lo, ..., hi, as row writes them, ROWS_PER_WRITE at a time.
+
+        rest is formatted once, and an int's cell is str(n) in both formats.
+        """
+        head = self._open + ("" if self.fmt == "csv" else self._keys[0])
+        tail = "".join(self._sep + cell for cell in self._cells(rest, self._keys[1:])) + self._end
+        for start in range(lo, hi + 1, ROWS_PER_WRITE):
+            ns = map(str, range(start, min(start + ROWS_PER_WRITE, hi + 1)))
+            self.stream.write(head + (tail + head).join(ns) + tail)
 
     def summary(self, record: dict):
         if self.fmt == "csv":
-            body = " ".join(f"{k}={_cell(v)}" for k, v in record.items())
+            body = " ".join(f"{k}={_CSV_CELL.get(type(v), str)(v)}" for k, v in record.items())
             print(f"# {body}", file=self.stream)
         else:
             print(json.dumps(record), file=self.stream)
@@ -110,14 +120,8 @@ def _join(seq) -> str:
 def _load_golden_ranges():
     """(q_lo, q_hi, chi) rows of the shipped golden table."""
     text = resources.files("sepsym").joinpath("data/chi_golden.csv").read_text()
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("q_lo"):
-            continue
-        lo, hi, c = line.split(",")
-        rows.append((int(lo), int(hi), int(c)))
-    return rows
+    return [tuple(map(int, line.split(","))) for line in map(str.strip, text.splitlines())
+            if line and not line.startswith(("#", "q_lo"))]
 
 
 def _golden_chi(qs, ranges):
@@ -134,26 +138,21 @@ def _golden_chi(qs, ranges):
         yield c if hi is not None and lo <= q else None
 
 
-# ------------------------------------------------------------- plumbing --
-
-def _parse_index_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParameterError(f"could not parse index list {text!r}")
-
+# ------------------------------------------------------------- commands --
 
 # the fields of chi.ChiRecord, in order: a record is its row
 CHI_COLUMNS = ("q", "chi", "x0_lo", "x0_hi", "x0_is_integer", "lnln_floor")
 
 
-# ------------------------------------------------------------- commands --
-
 def _cmd_gamma(args, stream) -> int:
     q, n = args.q, args.n
-    orbits = exactcount.orbit_count(q, n)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
-    if limit and orbits >= 10 ** limit:
+    # binom(N, m) >= (N/m)**m for N = n+q-1, m = min(n, q-1): a count with more than
+    # m*log10(N/m) > limit + 1 digits is refused unbuilt; the exact test decides the rest
+    m = min(n, q - 1)
+    too_long = limit and m >= 1 and math.log10(n + q - 1) - math.log10(m) > (limit + 1) / m
+    orbits = None if too_long else exactcount.orbit_count(q, n)
+    if limit and (too_long or orbits >= 10 ** limit):
         raise ScaleError(f"the orbit count for q={q}, n={n} has more than {limit} digits, "
                          "more than Python converts to text")
     g = exactcount.floor_log(q, orbits - 1) + 1  # gamma(q, n), from the count in hand
@@ -248,8 +247,7 @@ def _cmd_delta3(args, stream) -> int:
         if args.verify and exact == predicted:
             continue
         mismatches += hi - lo + 1
-        for n in range(lo, hi + 1):
-            writer.row((n, exact, predicted, kind))
+        writer.rows(lo, hi, (exact, predicted, kind))
     summary = {"delta0": counts.get(0, 0), "delta1": counts.get(1, 0)}
     if args.verify:
         summary["verified"] = not mismatches
@@ -262,11 +260,11 @@ def _cmd_classify3(args, stream) -> int:
     n_min, n_max = args.n_min, args.n_max
     if n_min > n_max:
         raise ParameterError(f"require n-min <= n-max, got [{n_min}, {n_max}]")
-    rows = f3.classify3_range(n_min, n_max)  # rejects n_min < 9 before any output
+    runs = f3.window_runs(n_min, n_max)  # rejects n_min < 9 before any output
     writer = TableWriter(stream, args.format,
                          ("n", "r", "kind", "alpha", "beta", "delta", "delta_predicted"))
-    for row in rows:
-        writer.row(row)
+    for lo, hi, r, kind in runs:  # each row holds the fields of an F3Class
+        writer.rows(lo, hi, (r, kind, *f3.KIND_TERMS[kind], f3.PREDICTED[kind]))
     return EXIT_OK
 
 
@@ -275,7 +273,10 @@ def _select_indices(args, field, n):
         return esym.index_set_nq(n, field.q, field.p)
     if args.preset == "full":
         return tuple(range(1, n + 1))
-    return _parse_index_list(args.T)
+    try:
+        return tuple(int(part) for part in args.T.split(","))
+    except ValueError:
+        raise ParameterError(f"could not parse index list {args.T!r}")
 
 
 def _cmd_check_sep(args, stream) -> int:

@@ -138,7 +138,7 @@ def window_starts(r: int) -> tuple[int, int, int, int, int, int]:
 
 
 def _window_runs(n: int, n_max: int):
-    """(n_lo, n_hi, r, kind) for the windows met by [n, n_max], n >= 9, clipped to the range."""
+    """window_runs(n, n_max), without the check on n."""
     r = floor_log(3, n)
     while n <= n_max:
         for kind, end in zip("ABCDE", window_starts(r)[1:]):
@@ -148,13 +148,22 @@ def _window_runs(n: int, n_max: int):
         r += 1
 
 
-def classify3_range(n_min: int, n_max: int):
-    """F3Class of each n = n_min, ..., n_max >= 9, in order; an empty range yields nothing."""
+def window_runs(n_min: int, n_max: int):
+    """(n_lo, n_hi, r, kind) for the windows met by [n_min, n_max], n_min >= 9, clipped to it.
+
+    In order, one run per window; an empty range yields nothing. n_min is
+    checked at the call, before the first run is asked for.
+    """
     if n_min < 9:
         raise ParameterError(
             f"interval classification applies for n >= 9; got {n_min} (the defect is 0 below 9)")
+    return _window_runs(n_min, n_max)
+
+
+def classify3_range(n_min: int, n_max: int):
+    """F3Class of each n = n_min, ..., n_max >= 9, in order; an empty range yields nothing."""
     return (F3Class(m, r, kind, *KIND_TERMS[kind], PREDICTED[kind])
-            for lo, hi, r, kind in _window_runs(n_min, n_max) for m in range(lo, hi + 1))
+            for lo, hi, r, kind in window_runs(n_min, n_max) for m in range(lo, hi + 1))
 
 
 def classify3(n: int) -> F3Class:

@@ -122,7 +122,10 @@ def test_cell_found_from_a_shifted_estimate(q, cells):
     c = chi.chi_exact(q)
     want = bisect_cell(chi._gap(q), c)
     gap, seen = _recording(chi._gap(q))
-    assert chi._cell(gap, c, want[0] + (cells + 0.5) * chi._CELL) == want
+    lo, hi, root = chi._cell(gap, c, want[0] + (cells + 0.5) * chi._CELL)
+    assert (lo, hi) == want
+    # the interpolated root lies in the cell, within about 3e-14 of the bisection cell's root
+    assert lo <= root <= hi
     # at most two probes per cell visited
     assert len(seen) <= 2 * (abs(cells) + 1)
 
@@ -133,7 +136,7 @@ def test_cell_at_the_clamped_ends():
     want = bisect_cell(chi._gap(2), 2)
     assert want == (3.0 - chi._CELL, 3.0)
     for x_hat in (7.0, 3.0, 3.0 - 2.5 * chi._CELL):
-        assert chi._cell(gap, 2, x_hat) == want
+        assert chi._cell(gap, 2, x_hat)[:2] == want
     assert 3.0 not in seen
     # a root in the first cell; gap(c) is never read
     c = 5
@@ -141,7 +144,7 @@ def test_cell_at_the_clamped_ends():
     want = bisect_cell(gap, c)
     assert want == (5.0, 5.0 + chi._CELL)
     for x_hat in (-2.0, 5.0, 5.0 + 3.5 * chi._CELL):
-        assert chi._cell(gap, c, x_hat) == want
+        assert chi._cell(gap, c, x_hat)[:2] == want
     assert 5.0 not in seen and 6.0 not in seen
 
 
@@ -169,7 +172,7 @@ def test_cell_from_an_estimate_at_either_end(q):
     for x_hat in (float(c), float(c + 1)):
         # a gallop over at most 31 doublings and a bisection of the last one
         gap, seen = _recording(chi._gap(q), limit=64)
-        assert chi._cell(gap, c, x_hat) == want
+        assert chi._cell(gap, c, x_hat)[:2] == want
         assert float(c) not in seen and float(c + 1) not in seen
 
 
@@ -192,19 +195,22 @@ def test_bracket_gap_evaluations_per_q(monkeypatch):
 
 
 def test_sweep_gap_evaluations_per_q(monkeypatch):
-    # warm starts: two secant points, one step, two cell probes for nearly every q
-    per_q = []
+    # from q = 337 on the extrapolated root lands in its cell for nearly every
+    # q, and the row's two cell probes are its only gap evaluations; a cold
+    # secant takes four or more
     gap = chi._gap
+    for lo, hi, mean in ((2, 10 ** 4, 2.75), (5001, 10 ** 4, 2.05)):
+        per_q = []
 
-    def recorded(q):
-        g, seen = _recording(gap(q))
-        per_q.append(seen)
-        return g
-    monkeypatch.setattr(chi, "_gap", recorded)
-    chi.chi_table(2, 10 ** 4)
-    counts = [len(seen) for seen in per_q]
-    assert len(counts) == 10 ** 4 - 1
-    assert sum(counts) / len(counts) <= 4.5
+        def recorded(q):
+            g, seen = _recording(gap(q))
+            per_q.append(seen)
+            return g
+        monkeypatch.setattr(chi, "_gap", recorded)
+        chi.chi_table(lo, hi)
+        counts = [len(seen) for seen in per_q]
+        assert len(counts) == hi - lo + 1
+        assert sum(counts) / len(counts) <= mean
 
 
 def _records(lo, hi):
@@ -232,17 +238,21 @@ def test_chi_table_windows_at_the_start_and_across_chi_steps(lo, hi):
 
 @pytest.mark.parametrize("cells", [-2 ** 31, -2 ** 20, -1000, -3, 3, 1000, 2 ** 20, 2 ** 31])
 def test_chi_table_from_a_start_cells_away(monkeypatch, cells):
-    want = _records(2, 200) + _records(5000, 5100)
-    warm, starts = chi._warm_start, []
+    want = _records(2, 400) + _records(5000, 5100)
+    extrapolate, shifted_rows = chi._extrapolate, []
 
-    def shifted(c, r1, r2):
-        x0, x1 = warm(c, r1, r2)
-        starts.append(x0)
-        return x0 + cells * chi._CELL, x1 + cells * chi._CELL
-    monkeypatch.setattr(chi, "_warm_start", shifted)
-    assert chi.chi_table(2, 200) + chi.chi_table(5000, 5100) == want
-    # every row but the first two of each table started from a shifted pair
-    assert len(starts) == 197 + 99
+    def shifted(*roots):
+        x = extrapolate(*roots)
+        if x is None:
+            return None
+        shifted_rows.append(x)
+        return x + cells * chi._CELL
+    monkeypatch.setattr(chi, "_extrapolate", shifted)
+    assert chi.chi_table(2, 400) + chi.chi_table(5000, 5100) == want
+    # the interpolated roots do not depend on the estimate, so the same rows
+    # are estimated as without the shift: every row from q = 337 on, and
+    # every row but the first four of the second table
+    assert len(shifted_rows) == 64 + 97
 
 
 def test_chi_sweep_rescans_when_chi_falls(monkeypatch):

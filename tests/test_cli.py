@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -71,6 +72,45 @@ def test_writer_rows_equal_the_cell_join_and_json_dumps(pairs):
         assert stream.getvalue() == head + want + "\n"
 
 
+class _Writes:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+# run starts next to 9/10, 99/100, 10^k and the signs, and anywhere
+RUN_STARTS = st.one_of(
+    st.integers(-1100, 1100), st.integers(-10 ** 30, 10 ** 30),
+    st.sampled_from([10 ** k - d for k in (3, 6, 15, 40) for d in (1, 3, 1030)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.text(), CELL_VALUES), max_size=6, unique_by=lambda kv: kv[0]),
+       st.text(), RUN_STARTS, st.integers(0, 2 * cli.ROWS_PER_WRITE + 5))
+def test_writer_run_equals_its_rows(pairs, first, lo, length):
+    # lengths past two chunks, so a run is written in several pieces
+    columns = (first, *(k for k, _ in pairs if k != first))
+    rest = tuple(v for k, v in pairs if k != first)
+    hi = lo + length - 1
+    chunk = cli.ROWS_PER_WRITE
+    for fmt in ("csv", "json"):
+        runs, rows = _Writes(), _Writes()
+        run_writer = cli.TableWriter(runs, fmt, columns)
+        row_writer = cli.TableWriter(rows, fmt, columns)
+        assert runs.writes == rows.writes
+        runs.writes, rows.writes = [], []
+        run_writer.rows(lo, hi, rest)
+        for n in range(lo, hi + 1):
+            row_writer.row((n, *rest))
+        # row writes each row at once, rows them in pieces of ROWS_PER_WRITE
+        assert len(rows.writes) == length
+        assert runs.writes == ["".join(rows.writes[i:i + chunk]) for i in range(0, length, chunk)]
+
+
 def test_import_loads_no_process_pool():
     # the pool's import cost a third of sepsym's import time; dataclasses
     # would load inspect, and inspect ast, dis and tokenize
@@ -114,6 +154,71 @@ def test_gamma_refuses_an_orbit_count_too_long_to_print(capsys, tmp_path):
         assert run(capsys, "gamma", "--q", "3", "--n", str(n + 1)) == (2, [])
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_gamma_refuses_at_the_digit_limit_on_the_diagonal(capsys):
+    # q = n + 1: the digit bound is inconclusive near the limit, so the exact
+    # comparison decides; binom(2n, n) reaches 10**640 between n and n + 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        n = 1000
+        while math.comb(2 * n + 2, n + 1) < 10 ** 640:
+            n += 1
+        count = math.comb(2 * n, n)
+        assert 10 ** 639 <= count < 10 ** 640 <= math.comb(2 * n + 2, n + 1)
+        rc, lines = run(capsys, "gamma", "--q", str(n + 1), "--n", str(n))
+        assert rc == 0 and lines[2].split(",")[2] == str(count)
+        assert run(capsys, "gamma", "--q", str(n + 2), "--n", str(n + 1)) == (2, [])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _gamma_exit(q, n):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["gamma", "--q", str(q), "--n", str(n)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4000), st.integers(1, 4000), st.integers(640, 6000))
+def test_gamma_refuses_exactly_the_counts_too_long_to_print(q, n, limit):
+    too_long = math.comb(n + q - 1, n) >= 10 ** limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        rc, out, err = _gamma_exit(q, n)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (rc, out == "", err.startswith("error: ")) == ((2, True, True) if too_long
+                                                         else (0, False, False))
+
+
+def test_gamma_beyond_float_range():
+    # counts of 401 digits print; one with about 10^403 digits is refused at once
+    big = 10 ** 400
+    for q, n, orbits in ((2, big, big + 1), (big, 1, big)):
+        rc, out, _ = _gamma_exit(q, n)
+        assert (rc, out.splitlines()[2].split(",")[2]) == (0, str(orbits))
+    assert _gamma_exit(big, big)[:2] == (2, "")
+
+
+@pytest.mark.parametrize("q, n", [(100003, 100000), (10 ** 8, 10 ** 8)])
+def test_gamma_refuses_before_counting_as_a_process(tmp_path, q, n):
+    # the counts have about 60,000 and 6*10^7 digits: counting them took 0.9 s
+    # and more than 10 s
+    target = tmp_path / "gamma.csv"
+    target.write_text("kept\n")
+    for out in ([], ["--out", str(target)]):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "sepsym", "gamma", "--q", str(q),
+                               "--n", str(n), *out],
+                              capture_output=True, text=True, timeout=60, env=child_env())
+        assert time.perf_counter() - t0 < 0.5
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and "digits" in proc.stderr
+    assert target.read_text() == "kept\n"
 
 
 def test_gamma_non_prime_power(capsys):
@@ -308,6 +413,57 @@ def test_delta3_and_classify3_rows_match_oracles(capsys):
                                  "beta": c.beta, "delta": c.delta,
                                  "delta_predicted": c.predicted_delta})
                      for c in classes.values()]
+
+
+def test_ternary_runs_equal_per_n_rows(capsys, tmp_path):
+    # across 3^9, past several ROWS_PER_WRITE chunks, against per-n oracle rows
+    ns = range(3 ** 9 - 50, 3 ** 9 + 5001)
+    classes = [f3.classify3(n) for n in ns]
+    exact = [naive_defect(3, n) for n in ns]
+    tables = {
+        "delta3": (("n", "delta_exact", "delta_predicted", "kind"),
+                   [(n, d, c.predicted_delta, c.kind) for n, d, c in zip(ns, exact, classes)],
+                   {"delta0": exact.count(0), "delta1": exact.count(1)}),
+        "classify3": (("n", "r", "kind", "alpha", "beta", "delta", "delta_predicted"),
+                      classes, None),
+    }
+    for command, (columns, rows, summary) in tables.items():
+        for fmt in ("csv", "json"):
+            if fmt == "csv":
+                want = [cli.SCHEMA_TAG, ",".join(columns), *(",".join(map(_old_cell, row))
+                                                            for row in rows)]
+                if summary:
+                    want.append("# " + " ".join(f"{k}={v}" for k, v in summary.items()))
+            else:
+                want = [json.dumps(dict(zip(columns, row))) for row in rows]
+                if summary:
+                    want.append(json.dumps(summary))
+            argv = (command, "--n-min", str(ns[0]), "--n-max", str(ns[-1]), "--format", fmt)
+            assert run(capsys, *argv) == (0, want)
+            target = tmp_path / f"{command}.{fmt}"
+            assert run(capsys, *argv, "--out", str(target)) == (0, [])
+            assert target.read_text() == "\n".join(want) + "\n"
+
+
+def test_ternary_tables_write_runs_not_rows(capsys, monkeypatch):
+    # a return to one row call or one F3Class per n fails here
+    calls = []
+    row, f3_class = cli.TableWriter.row, f3.F3Class
+    monkeypatch.setattr(cli.TableWriter, "row",
+                        lambda self, values: calls.append("row") or row(self, values))
+    monkeypatch.setattr(f3, "F3Class",
+                        lambda *fields: calls.append("F3Class") or f3_class(*fields))
+    rc, lines = run(capsys, "delta3", "--n-min", "2", "--n-max", "200000")
+    assert (rc, len(lines)) == (0, 200002)
+    rc, lines = run(capsys, "classify3", "--n-min", "9", "--n-max", "200000")
+    assert (rc, len(lines)) == (0, 199994)
+    runs = f3.prediction_runs
+    monkeypatch.setattr(f3, "prediction_runs",
+                        lambda lo, hi: _flipped(runs(lo, hi), 2187, 3091))  # window A at r = 7
+    rc, lines = run(capsys, "delta3", "--n-min", "2", "--n-max", "200000", "--verify")
+    assert (rc, len(lines)) == (1, 2 + 905 + 1)
+    assert lines[-1].endswith("verified=false mismatches=905")
+    assert calls == []
 
 
 def test_delta3_validation(capsys):

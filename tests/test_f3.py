@@ -215,6 +215,11 @@ def _assert_sweeps_match(lo, hi):
         lo9 = max(lo, 9)
         assert list(f3.classify3_range(lo9, hi)) == [tuple(f3.classify3(n))
                                                      for n in range(lo9, hi + 1)]
+        # the window runs are the prediction runs from 9 on, with the band r
+        windows = list(f3.window_runs(lo9, hi))
+        assert [(a, b, kind, f3.PREDICTED[kind]) for a, b, _, kind in windows] == list(
+            f3.prediction_runs(lo9, hi))
+        assert all(f3.classify3(a).r == r == f3.classify3(b).r for a, b, r, _ in windows)
 
 
 def test_sweeps_across_every_window_edge_up_to_r_60():
@@ -242,9 +247,12 @@ def test_range_validation_and_empty_ranges():
         f3.prediction_runs(1, 5)
     with pytest.raises(ParameterError):
         f3.classify3_range(8, 20)
+    with pytest.raises(ParameterError):
+        f3.window_runs(8, 20)
     assert list(defect_runs(3, 10, 9)) == []
     assert list(f3.prediction_runs(10, 9)) == []
     assert list(f3.classify3_range(10, 9)) == []
+    assert list(f3.window_runs(10, 9)) == []
 
 
 def test_window_starts_are_certified_and_ordered():
