@@ -206,12 +206,12 @@ def _from_cell(q: int, c: int, lo: float, hi: float):
     (least at q = 2) and an error near 1e-14, so each moved end has
     |gap| >= 9e-11 on its own side of the root. An integer root c+1
     (q**c == binom(c+q, c+1)) ends strictly inside; other brackets are
-    clamped to [c, c+1].
+    clamped to [c, c+1]. Only the last cell, the one with hi = c+1, can hold
+    an integer root, so the exact test runs there alone.
     """
-    lo, hi = lo - TOL / 4, hi + TOL / 4
-    if q ** c == math.comb(c + q, c + 1):
-        return (lo, hi, True)
-    return (max(lo, float(c)), min(hi, float(c + 1)), False)
+    if hi >= c + 1 and q ** c == math.comb(c + q, c + 1):
+        return (lo - TOL / 4, hi + TOL / 4, True)
+    return (max(lo - TOL / 4, float(c)), min(hi + TOL / 4, float(c + 1)), False)
 
 
 def _bracket(q: int, c: int):

@@ -326,10 +326,13 @@ def _cmd_orbits(args, stream) -> int:
 
 # --------------------------------------------------------------- parser --
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="output format (default csv)")
-    sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+def _command(subs, name: str, func, help: str, *ints: str):
+    """A subcommand running func, with each option in ints an int it requires."""
+    p = subs.add_parser(name, help=help)
+    for flag in ints:
+        p.add_argument(flag, type=int, required=True)
+    p.set_defaults(func=func)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,66 +341,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Separating sets of elementary symmetric functions over finite fields: "
                     "exact counts, crossover thresholds, and brute-force verification.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gamma", help="orbit count and the least conceivable separating size")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = subs.add_parser("chi", help="exact chi and the root bracket for one q")
-    p.add_argument("--q", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_chi)
-
-    p = subs.add_parser("chi-table", help="chi records for a range of q")
-    p.add_argument("--q-min", type=int, required=True, dest="q_min")
-    p.add_argument("--q-max", type=int, required=True, dest="q_max")
+    _command(subs, "gamma", _cmd_gamma,
+             "orbit count and the least conceivable separating size", "--q", "--n")
+    _command(subs, "chi", _cmd_chi, "exact chi and the root bracket for one q", "--q")
+    p = _command(subs, "chi-table", _cmd_chi_table, "chi records for a range of q",
+                 "--q-min", "--q-max")
     p.add_argument("--jobs", type=int, default=1,
                    help="ignored, since tables run in one process; still accepted (and "
                         "must be >= 1) because the benchmark workloads pass it, until "
                         "they next change")
-    p.add_argument("--verify-golden", action="store_true", dest="verify_golden",
+    p.add_argument("--verify-golden", action="store_true",
                    help="compare against the shipped golden table instead of printing rows")
-    _add_common(p)
-    p.set_defaults(func=_cmd_chi_table)
-
-    p = subs.add_parser("delta3", help="exact ternary defect against its interval prediction")
-    p.add_argument("--n-min", type=int, required=True, dest="n_min")
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p = _command(subs, "delta3", _cmd_delta3,
+                 "exact ternary defect against its interval prediction", "--n-min", "--n-max")
     p.add_argument("--verify", action="store_true",
                    help="compare exact and predicted values instead of printing rows")
-    _add_common(p)
-    p.set_defaults(func=_cmd_delta3)
-
-    p = subs.add_parser("classify3", help="five-window classification for n >= 9")
-    p.add_argument("--n-min", type=int, required=True, dest="n_min")
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify3)
-
-    p = subs.add_parser("check-sep", help="brute-force separation check for an index set")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    _command(subs, "classify3", _cmd_classify3, "five-window classification for n >= 9",
+             "--n-min", "--n-max")
+    p = _command(subs, "check-sep", _cmd_check_sep,
+                 "brute-force separation check for an index set", "--q", "--n")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--T", help="comma-separated indices, e.g. 1,2,4")
     group.add_argument("--preset", choices=("sq", "full"),
                        help="sq: the power-scaled set; full: all of 1..n")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_sep)
-
-    p = subs.add_parser("minsep", help="smallest separating subset size by exhaustive search")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_minsep)
-
-    p = subs.add_parser("orbits", help="stream the canonical orbit representatives")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_orbits)
-
+    _command(subs, "minsep", _cmd_minsep,
+             "smallest separating subset size by exhaustive search", "--q", "--n")
+    _command(subs, "orbits", _cmd_orbits, "stream the canonical orbit representatives",
+             "--q", "--n")
+    for p in subs.choices.values():  # every command, last
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default csv)")
+        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     return parser
 
 

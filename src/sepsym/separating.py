@@ -2,29 +2,34 @@
 
 A set of indices T separates when the fingerprint map, sending an orbit
 representative to its tuple of s_t values, is injective over all orbits.
-Everything here is exhaustive: verdicts come from scanning every orbit, not
-from any closed-form shortcut.
+Verdicts are exhaustive: every orbit is accounted for, none is assumed.
 
-All verdicts read one walk, _orbit_batches. A sorted representative is
-(0, ..., 0, M) with M its k nonzero entries, so lexicographic order is k
-ascending, then M in lexicographic order: the walk builds level k from level
-k - 1 (Knuth, TAOCP 4A, 7.2.1.3), each part M' followed by x = a, ..., q - 1,
-a its last entry (0 for the empty part, whose x = 0 is the zero orbit).
-Those children come as one batch: child x has s'_t = s_t + x s_{t-1} (with
-s_0 = 1), read from the parent's values and the field's tables. With more
-children than indices to compute, the column of s'_t is the addition-table
-row of s_t read along a slice of the multiplication-table row of s_{t-1},
-which map runs in C, and zip of the columns gives the rows; otherwise, as on
-long vectors, one pass per child is cheaper. So each orbit with a zero costs
-one row s_1, ..., s_k, kept until the next level is built, and each orbit
-without one only the requested s_t.
+The walk, _orbit_batches: a sorted representative is (0, ..., 0, M), M its
+k nonzero entries, so lexicographic order is k ascending, then M in
+lexicographic order. Level k is built from level k - 1 (Knuth, TAOCP 4A,
+7.2.1.3), each part M' followed by x = a, ..., q - 1, a its last entry (0
+for the empty part, whose x = 0 is the zero orbit); child x has s'_t = s_t
++ x s_{t-1} (s_0 = 1), from the parent's values and the field's tables, and
+with more children than indices the column of s'_t is one map in C. A level
+below n keeps its rows s_1, ..., s_k until the next level is built.
 
-check_separating streams the walk and keeps only the set of distinct
-fingerprints. When the set ends smaller than the number of orbits, a second
-walk, paired with enumerate_orbits to name the orbits, maps each
-fingerprint to the first orbit that has it and stops at the first orbit
-whose fingerprint is already mapped: that pair is the witness.
-check_minimal and min_separating_size hold one value tuple per orbit;
+The slice, a result of this package rather than of the paper: let t0 = min
+T, H the t0-th powers of the units, of order h, and R one unit of each
+coset of H. Each s_t is homogeneous of degree t, so v -> lambda v maps
+orbits to orbits and multiplies s_t by lambda**t. Two distinct orbits that
+collide on T share s_t0 = c, and when c != 0 some lambda moves c into R,
+keeping the pair distinct and colliding. So T separates iff no two orbits
+with s_t0 in S = {0} + R collide, and the orbits, and the fingerprints,
+number their count at s_t0 = 0 plus h times their count at s_t0 in R.
+check_separating walks only that slice and checks the orbit count it
+rebuilds against binom(n+q-1, q-1). At level n a part has at most |S|
+children in it, x = (c - s_t0) / s_{t0-1} >= a, or all or none if s_{t0-1}
+= 0, solved for all parts at once. For t0 = 1 the slice is s_1 in {0, 1};
+for q = 2, or T empty (t0 = 0, read as s_0 = 1), it is every orbit.
+
+A negative verdict's witness, the first collision in lexicographic order,
+comes from a walk over every orbit, paired with enumerate_orbits to name
+them. check_minimal and min_separating_size hold one value tuple per orbit;
 every index set they try is a projection of those rows, scanned only up to
 its first collision. The last such walk is kept, so that minsep, which asks
 both questions of one field and n, walks once.
@@ -33,16 +38,17 @@ both questions of one field and n, walks once.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from functools import lru_cache
-from operator import itemgetter
+from operator import ge, getitem, itemgetter, not_
 from typing import Iterable, Iterator, NamedTuple
 
 from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 # esym_all is not called here, but stays importable from this module: the
 # benchmark's layer tracer patches names where they are looked up.
 from sepsym.esym import esym_all, normalize_indices  # noqa: F401
-from sepsym.exactcount import gamma
+from sepsym.exactcount import gamma, orbit_count
 from sepsym.gf import FieldSpec
 from sepsym.orbits import enumerate_orbits
 
@@ -56,27 +62,36 @@ class SeparationVerdict(NamedTuple):
     fingerprint_count: int
 
 
-def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...]
-                   ) -> Iterator[tuple[int, Iterable[tuple[int, ...]]]]:
-    """Stream (a, fingerprints) for every batch of orbits, in lexicographic order.
+def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cut=None
+                   ) -> Iterator[Iterable[tuple[int, ...]]]:
+    """Stream the fingerprints (s_t for t in idx) of the orbits with s_t0 in cs.
 
-    A batch is the orbits with nonzero part r + (x,), x = a, ..., q - 1, for
-    one part r with last entry a (0 if r is empty: x = 0 is the zero orbit);
-    fingerprints yields their (s_t for t in idx) once. The orbit bound is
-    that of enumerate_orbits.
+    cut = (t0, cs, minus, inv, tally) comes from check_separating; tally
+    counts the orbits streamed, [0] with s_t0 = 0 and [1] the others.
+    Without cut every orbit is streamed, in lexicographic order: each level
+    below n, then level n by parts. The orbit bound is enumerate_orbits'.
     """
     enumerate_orbits(spec, n)  # checks n and the orbit bound
     q = spec.q
+    t0, cs, minus, inv, tally = cut or (0, range(q), (), None, [0, 0])
+    in_s = frozenset(cs).__contains__
+
+    def keep(rows, k):  # the rows of level k with s_t0 in cs, counted by s_t0 = 0 or not
+        # s_t0 = 0 on every row if t0 > k; t0 = 0 reads s_0 = 1
+        col = list(map(itemgetter(t0 - 1), rows)) if 0 < t0 <= k else [0 if t0 else 1] * len(rows)
+        rows = list(itertools.compress(rows, map(in_s, col)))
+        zeros = col.count(0)
+        tally[0], tally[1] = tally[0] + zeros, tally[1] + len(rows) - zeros
+        return rows
     if n == 1:  # no product: s_1 is the orbit itself, and the tables stay unbuilt
-        yield 0, [(x,) * len(idx) for x in range(q)]
+        yield [v * len(idx) for v in keep([(x,) for x in range(q)], 1)]
         return
     add_t, mul_t = spec.tables
     get = [row.__getitem__ for row in add_t]
 
-    def batch(r, a, ts):
+    def batch(s, a, ts):
         # s'_t = s_t + x s_{t-1}: by columns if the batch has more orbits
         # than ts has indices (a column with s_t = 0 is the row slice itself)
-        s = (1, *r, 0)
         if 0 < len(ts) < q - a:
             return zip(*[map(get[s[t]], mul_t[s[t - 1]][a:]) if s[t]
                          else mul_t[s[t - 1]][a:] for t in ts])
@@ -85,18 +100,37 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...]
     # level k: (a, (s_1, ..., s_k)) of each nonzero part of length k, a its last entry
     level = [(0, ())]
     for k in range(1, n):
-        cut = bisect_right(idx, k)
-        project, pad = _projector(idx[:cut]), (0,) * (len(idx) - cut)
+        cut_k = bisect_right(idx, k)
+        project, pad = _projector(idx[:cut_k]), (0,) * (len(idx) - cut_k)
         built = []
         for a, r in level:
-            rows = list(batch(r, a, range(1, k + 1)))
-            yield a, [project(v) + pad for v in rows]
-            built += zip(range(a, q), rows)
+            built += zip(range(a, q), batch((1, *r, 0), a, range(1, k + 1)))
+        yield [project(v) + pad for v in keep(list(map(itemgetter(1), built)), k)]
         if k == 1:
             del built[0]  # the zero orbit: its nonzero part is level 0's
         level = built
-    for a, r in level:
-        yield a, batch(r, a, idx)
+    if not t0:  # s_0 = 1: every child of every part
+        tally[1] += sum(q - a for a, _ in level)
+        yield from (batch((1, *r, 0), a, idx) for a, r in level)
+        return
+    # the rest of level n by columns: cols[t] holds s_t of every part, and a
+    # part's child x has s'_t0 = e + x d, with e = s_t0 and d = s_{t0-1}
+    heads = [a for a, _ in level]
+    cols = [[1] * len(level), *zip(*[r for _, r in level]), [0] * len(level)]
+    d, e = cols[t0 - 1], cols[t0]
+    for (a, r), ei in itertools.compress(zip(level, e), map(not_, d)):  # s'_t0 = e on all
+        if in_s(ei):
+            tally[ei != 0] += q - a
+            yield batch((1, *r, 0), a, idx)
+    over = t0 > 1 and list(map(mul_t.__getitem__, map(inv.__getitem__, d)))  # rows of 1/d
+    for c, m in zip(cs, minus):  # the one child x = (c - e) / d, if d != 0 and x >= a
+        xs = list(map(getitem, over, map(m.__getitem__, e)) if over else map(m.__getitem__, e))
+        mask = list(map(ge, xs, heads))
+        mx = list(map(mul_t.__getitem__, itertools.compress(xs, mask)))
+        tally[c != 0] += len(mx)
+        s = {t: list(itertools.compress(cols[t], mask)) for t in {*idx, *[t - 1 for t in idx]}}
+        yield zip(*[map(getitem, map(add_t.__getitem__, s[t]), map(getitem, mx, s[t - 1]))
+                    for t in idx])
 
 
 def _projector(idx: tuple[int, ...]):
@@ -124,27 +158,53 @@ def _value_rows(spec: FieldSpec, n: int) -> tuple:
     n: minsep asks min_separating_size and check_minimal about the same
     field and n, and so walks once.
     """
-    batches = _orbit_batches(spec, n, tuple(range(1, n + 1)))
-    return tuple(itertools.chain.from_iterable(rows for _, rows in batches))
+    return tuple(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)))))
+
+
+def _powers(mul_t, e: int) -> list[int]:
+    """[y**e for every element y], by square and multiply on whole columns of the table."""
+    out, base = [1] * len(mul_t), list(range(len(mul_t)))
+    while e:
+        if e & 1:
+            out = list(map(getitem, map(mul_t.__getitem__, out), base))
+        base, e = list(map(getitem, map(mul_t.__getitem__, base), base)), e >> 1
+    return out
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
     """Test injectivity of the fingerprint map over every orbit representative.
 
-    The witness, present iff the verdict is negative, is the first collision
-    met while scanning representatives in lexicographic order: the earliest
-    representative carrying the same fingerprint, paired with the current one.
+    The verdict and both counts come from the slice (see the module
+    docstring). The witness, present iff the verdict is negative, is the
+    first collision met while scanning representatives in lexicographic
+    order: the earliest representative carrying the same fingerprint,
+    paired with the current one.
     """
     idx = normalize_indices(indices, n)
-    q = spec.q
-    seen = set()
-    total = 0
-    for a, fps in _orbit_batches(spec, n, idx):
-        seen.update(fps)
-        total += q - a
-    witness = None if len(seen) == total else _first_collision(spec, n, idx)
+    enumerate_orbits(spec, n)  # checks n and the orbit bound before any table is built
+    q, t0 = spec.q, idx[0] if idx else 0
+    g = math.gcd(t0, q - 1)  # H is the g-th powers too, and y**((q-1)/g) names y's coset
+    if 1 < g < q - 1:
+        coset = _powers(spec.tables[1], (q - 1) // g)
+        reps = sorted({coset[y]: y for y in range(q - 1, 0, -1)}.values())
+    else:  # H is every unit, or 1 alone; no tables
+        reps = [1] if g == 1 else range(1, q)
+    cs, minus, inv, tally = (0, *reps), (), None, [0, 0]
+    if t0 and n > 1:  # minus[i][e] = cs[i] - e, -1 being the index p - 1; 1/0 reads as 0
+        add_t, mul_t = spec.tables
+        minus = [[add_t[c][z] for z in mul_t[spec.p - 1]] for c in cs]
+        inv = [0, *_powers(mul_t, q - 2)[1:]] if t0 > 1 else None
+    batches = _orbit_batches(spec, n, idx, (t0, cs, minus, inv, tally))
+    seen = set(itertools.chain.from_iterable(batches))
+    h = (q - 1) // g
+    total = tally[0] + h * tally[1]
+    if total != orbit_count(q, n):
+        raise RuntimeError(f"the slice rebuilds {total} orbits, not {orbit_count(q, n)}")
+    zero = list(map(itemgetter(0), seen)).count(0) if idx else 0
+    count = zero + h * (len(seen) - zero)
+    witness = None if count == total else _first_collision(spec, n, idx)
     return SeparationVerdict(separating=witness is None, witness=witness,
-                             orbit_count=total, fingerprint_count=len(seen))
+                             orbit_count=total, fingerprint_count=count)
 
 
 def _first_collision(spec: FieldSpec, n: int, idx: tuple[int, ...]) -> tuple:
@@ -154,7 +214,7 @@ def _first_collision(spec: FieldSpec, n: int, idx: tuple[int, ...]) -> tuple:
     first with that fingerprint; enumerate_orbits names them in walk order.
     """
     first = {}
-    fps = itertools.chain.from_iterable(rows for _, rows in _orbit_batches(spec, n, idx))
+    fps = itertools.chain.from_iterable(_orbit_batches(spec, n, idx))
     for rep, fp in zip(enumerate_orbits(spec, n), fps):
         earlier = first.setdefault(fp, rep)
         if earlier is not rep:

@@ -526,6 +526,18 @@ def test_check_sep_preset(capsys):
     assert row["orbit_count"] == row["fingerprint_count"] == 84
 
 
+# Cells of 0.5 to 2.8 million orbits, which the slice decides without a
+# walk over every orbit; no time is asserted, and the orbit bound is unchanged.
+@pytest.mark.parametrize("q,n", [(256, 3), (64, 4), (1024, 2)])
+def test_check_sep_preset_reaches_wide_cells(capsys, q, n):
+    rc, lines = run(capsys, "check-sep", "--q", str(q), "--n", str(n), "--preset", "sq",
+                    "--format", "json")
+    assert rc == 0
+    row = json_rows(lines)[0]
+    assert row["separating"] is True
+    assert row["orbit_count"] == row["fingerprint_count"] == math.comb(n + q - 1, q - 1)
+
+
 def test_check_sep_failure_exit(capsys):
     rc, lines = run(capsys, "check-sep", "--q", "2", "--n", "3", "--T", "1")
     assert rc == 1

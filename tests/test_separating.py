@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepsym import gf
+from sepsym import gf, separating
 from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 from sepsym.esym import esym_all, index_set_nq
 from sepsym.exactcount import gamma, orbit_count
@@ -291,3 +292,30 @@ def test_scaled_sets_separate_on_longest_vectors():
         SeparationVerdict(True, None, 1001, 1001)
     assert check_separating(F3, 120, index_set_nq(120, 3, 3)) == \
         SeparationVerdict(True, None, 7381, 7381)
+
+
+# Index sets whose least index t0 >= 2 has gcd(t0, q - 1) > 1, so that the
+# slice holds several cosets of the t0-th powers; none contains 1, so most do
+# not separate. Also the empty set (t0 = 0: every orbit is in the slice) and
+# n = 1.
+SLICE_CELLS = [(q, n, t0) for q in (7, 9, 13, 16, 25) for t0 in (2, 3, 4) for n in range(t0, 9)
+               if math.gcd(t0, q - 1) > 1 and orbit_count(q, n) <= 3000]
+SLICE_CELLS += [(q, n, t0) for q in (7, 9, 13, 16, 25) for n, t0 in ((1, 0), (1, 1), (2, 0), (3, 0))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SLICE_CELLS), st.randoms(use_true_random=False))
+def test_slices_of_several_cosets_match_naive_oracle(cell, rng):
+    q, n, t0 = cell
+    spec = gf.field_for_order(q)
+    T = [t0, *[t for t in range(t0 + 1, n + 1) if rng.random() < 0.5]] if t0 else []
+    v = check_separating(spec, n, T)
+    assert (v.separating, v.witness, v.orbit_count, v.fingerprint_count) == \
+        naive_check(spec, n, T)
+
+
+def test_slice_orbit_count_is_checked(monkeypatch):
+    # the orbit count rebuilt from the slice is compared with binom(n+q-1, q-1)
+    monkeypatch.setattr(separating, "orbit_count", lambda q, n: math.comb(n + q - 1, q - 1) + 1)
+    with pytest.raises(RuntimeError, match="the slice rebuilds 84 orbits"):
+        check_separating(gf.field_for_order(4), 6, (1, 2, 3, 4, 6))
