@@ -5,8 +5,16 @@ For every integer q >= 2 there is a unique real x_0 > 1 solving
     q**(x-1) == (x/1 + 1) * (x/2 + 1) * ... * (x/(q-1) + 1),
 
 and the counting criterion q**(n-1) < binom(n+q-1, n) holds exactly for the
-integers n < x_0. chi_exact finds the largest such n by exact integer
-comparisons; x0_bracket then isolates x_0 inside [chi, chi+1] numerically.
+integers n < x_0. chi_exact finds the largest such n, chi(q), from the edges
+Q_n = n! - binom(n, 2) (n >= 3): chi(q) >= n exactly when q >= Q_n, so chi
+is 2 plus the number of edges <= q. The criterion is
+f_n(q) = q * prod_{i<n} (1 + i/q) > n!, where f_n(1) = n! and
+(ln f_n)'(q) = (1/q) * (1 - sum_{i<n} i/(q+i)) with the bracket increasing
+in q: f_n falls and then rises, so for each n the criterion holds exactly
+for the integers q >= Q_n. Expanding f_n(q) = q + binom(n, 2) + e_2/q + ...
+gives the closed form (the remainder at Q_n - 1 is below 1 for n >= 5), and
+each edge is certified by two exact criterion evaluations, at Q_n and at
+Q_n - 1. x0_bracket then isolates x_0 inside [chi, chi+1] numerically.
 Whether x_0 is itself an integer is never decided by float proximity: the
 root equals chi+1 exactly when q**chi == binom(chi+q, chi+1), a big-integer
 equality.
@@ -24,13 +32,12 @@ and that change is the cell both bisection and the two probes find.
 A margin, not the width, certifies the bracket: each end of the cell moves
 TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
 
-chi, chi_record and x0_bracket start cold for each q: the scan from n = 1,
-the cell search from a secant started at (chi, chi+1). chi_table sweeps q
-upward and starts warm: each scan from the previous q's chi, and from the
-fifth row on each cell search, with no secant, from the cubic extrapolation
-of the last four roots (each interpolated between its cell's two probes).
-The start decides only how many probes are taken; every record equals
-chi_record's.
+chi_table sweeps q upward: chi steps up by one at each edge, and from the
+fifth row on each cell search starts, with no secant, from the cubic
+extrapolation of the last four roots (each interpolated between its cell's
+two probes); the first rows start from a secant at (chi, chi+1).
+chi_record(q) is the one-row table, so it always starts cold. The start
+decides only how many probes are taken; every row equals chi_record's.
 """
 
 from __future__ import annotations
@@ -80,36 +87,39 @@ class ChiRecord(NamedTuple):
     lower_bound: int
 
 
-def chi_exact(q: int) -> int:
-    """Largest n with q**(n-1) < binom(n+q-1, n), by upward scan from n = 1.
+def _edge(n: int) -> int:
+    """Q_n = n! - binom(n, 2), the least q with the criterion at n (n >= 3).
 
-    The criterion holds at n = 1 for every q >= 2 and fails from some point
-    on (at n = max(4, q) at the latest), so the scan terminates.
+    Checked exactly: the criterion holds at Q_n and fails at Q_n - 1, and for
+    a fixed n it holds for all q from its least one on.
+    """
+    t = math.factorial(n) - math.comb(n, 2)
+    if not least_possible_criterion(t, n) or least_possible_criterion(t - 1, n):
+        raise RuntimeError(f"chi edge {t} for n={n} is not the least q with the criterion")
+    return t
+
+
+def chi_exact(q: int) -> int:
+    """Largest n with q**(n-1) < binom(n+q-1, n): 2 plus the number of edges Q_n <= q.
+
+    The criterion holds at n = 2 for every q >= 2, and Q_3 < Q_4 < ...
     """
     if q < 2:
         raise ParameterError(f"q must be >= 2, got {q}")
-    return _scan_up(q, 1)
-
-
-def _scan_up(q: int, n: int) -> int:
-    """Largest chi >= n with the criterion at chi, given that it holds at n."""
-    while least_possible_criterion(q, n + 1):
+    n = 2
+    while _edge(n + 1) <= q:
         n += 1
     return n
 
 
 def chi_sweep(q_min: int, q_max: int):
-    """(q, chi_exact(q)) for q = q_min..q_max, each scan started from the previous q's chi.
-
-    The criterion holds exactly for the integers n < x_0 (the gap is convex
-    and negative at x = 1), so where it holds at the previous chi the scan
-    steps up from there, and elsewhere it starts again from n = 1.
-    """
-    c = 1
+    """(q, chi_exact(q)) for q = q_min..q_max: chi_exact(q_min), then one step up at each edge."""
+    c = chi_exact(q_min)
+    edge = _edge(c + 1)
     for q in range(q_min, q_max + 1):
-        if not least_possible_criterion(q, c):
-            c = 1
-        c = _scan_up(q, c)
+        while edge <= q:
+            c += 1
+            edge = _edge(c + 1)
         yield q, c
 
 
@@ -214,16 +224,9 @@ def _from_cell(q: int, c: int, lo: float, hi: float):
     return (max(lo - TOL / 4, float(c)), min(hi + TOL / 4, float(c + 1)), False)
 
 
-def _bracket(q: int, c: int):
-    """The root's bracket in [c, c+1], c == chi_exact(q), from the cold secant's estimate."""
-    gap = _gap(q)
-    lo, hi, _ = _cell(gap, c, _secant(gap, c))
-    return _from_cell(q, c, lo, hi)
-
-
 def x0_bracket(q: int):
     """(x0_lo, x0_hi, x0_is_integer) with x0_lo < x_0 < x0_hi and width <= TOL."""
-    return _bracket(q, chi_exact(q))
+    return chi_record(q)[2:5]
 
 
 def lnln_floor(q: int) -> int:
@@ -246,10 +249,10 @@ def lnln_floor(q: int) -> int:
 
 
 def chi_record(q: int) -> ChiRecord:
-    """The full per-q record: exact chi, root bracket, and lower bound."""
-    c = chi_exact(q)
-    lo, hi, is_int = _bracket(q, c)
-    return ChiRecord(q, c, lo, hi, is_int, lnln_floor(q))
+    """The full per-q record: exact chi, root bracket, and lower bound; chi_table(q, q)[0]."""
+    if q < 2:
+        raise ParameterError(f"q must be >= 2, got {q}")
+    return chi_table(q, q)[0]
 
 
 def _extrapolate(c: int, r1: float, r2: float, r3: float, r4: float):
@@ -267,10 +270,11 @@ def _extrapolate(c: int, r1: float, r2: float, r3: float, r4: float):
 def chi_table(q_min: int, q_max: int) -> list[ChiRecord]:
     """ChiRecord for every q in [q_min, q_max], ordered by q; each equals chi_record(q).
 
-    One upward sweep: chi comes from chi_sweep, and from the fifth row on
-    the cell search starts from the root extrapolated from the last four
-    rows' roots where _extrapolate gives one, and from the cold secant's
-    estimate elsewhere.
+    One upward sweep: chi comes from chi_sweep, which steps it up by one at
+    each certified edge n! - binom(n, 2), and from the fifth row on the cell
+    search starts from the root extrapolated from the last four rows' roots
+    where _extrapolate gives one, and from the cold secant's estimate
+    elsewhere.
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")

@@ -124,20 +124,6 @@ def _load_golden_ranges():
             if line and not line.startswith(("#", "q_lo"))]
 
 
-def _golden_chi(qs, ranges):
-    """The golden chi of each q in the increasing iterable qs, None where no range holds q.
-
-    The ranges are disjoint and sorted by q, as the shipped table is, so one
-    walk over them follows q.
-    """
-    ranges = iter(ranges)
-    lo, hi, c = next(ranges, (None, None, None))
-    for q in qs:
-        while hi is not None and hi < q:
-            lo, hi, c = next(ranges, (None, None, None))
-        yield c if hi is not None and lo <= q else None
-
-
 # ------------------------------------------------------------- commands --
 
 # the fields of chi.ChiRecord, in order: a record is its row
@@ -193,10 +179,9 @@ def _cmd_chi_table(args, stream) -> int:
             raise ParameterError(
                 f"the golden table covers q in [{lo_cov}, {hi_cov}]; "
                 f"requested [{q_min}, {q_max}]")
-        qs = range(q_min, q_max + 1)
-        mismatches = [(q, expected, actual) for (q, actual), expected
-                      in zip(chi.chi_sweep(q_min, q_max), _golden_chi(qs, ranges))
-                      if actual != expected]
+        golden = {q: c for lo, hi, c in ranges for q in range(lo, hi + 1)}
+        mismatches = [(q, golden.get(q), actual) for q, actual in chi.chi_sweep(q_min, q_max)
+                      if actual != golden.get(q)]
         if mismatches:
             writer = TableWriter(stream, args.format, ("q", "chi_expected", "chi_actual"))
             for mismatch in mismatches:

@@ -7,6 +7,7 @@ import mpmath
 
 from sepsym.chi import TOL, _gap
 from sepsym.esym import esym_all
+from sepsym.exactcount import least_possible_criterion
 
 # q -> largest n for brute-force orbit work; each cell stays well under a
 # second on commodity hardware.
@@ -35,6 +36,14 @@ def mp_gap(q):
             x = mpmath.mpf(x)
             return (x - 1) * ln_q - (mpmath.loggamma(x + q) - mpmath.loggamma(x + 1) - lg_q)
     return gap
+
+
+def scan_chi(q):
+    """chi_exact(q) by an upward scan from n = 1: the criterion holds exactly for n < x_0."""
+    n = 1
+    while least_possible_criterion(q, n + 1):
+        n += 1
+    return n
 
 
 def bisect_cell(gap, c):

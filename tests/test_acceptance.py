@@ -94,7 +94,7 @@ def test_criterion_04_root_brackets(acceptance_log, full_chi_records):
         and round((rec2.x0_lo + rec2.x0_hi) / 2) == 3
     ok = not failures and q2_integer
     acceptance_log(f"criterion 4 {_verdict(ok)}: brackets over [2, 10^4] stay "
-                   f"in (1, q), have width <= 1e-9, imply the scanned chi, "
+                   f"in (1, q), have width <= 1e-9, imply the exact chi, "
                    f"contain the root by a 40-digit sign check, "
                    f"and detect the integer root 3 at q = 2; "
                    f"{len(failures)} failures in {dt:.2f} s")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sepsym import chi
 from sepsym.errors import ParameterError
-from support import bisect_bracket, bisect_cell, mp_gap
+from support import bisect_bracket, bisect_cell, mp_gap, scan_chi
 
 
 def test_chi_exact_examples():
@@ -17,6 +17,38 @@ def test_chi_exact_examples():
     assert chi.chi_exact(17) == 3
     assert chi.chi_exact(18) == 4
     assert chi.chi_exact(5019) == 7
+
+
+def test_chi_sweep_equals_scan():
+    top = 2 * 10 ** 5
+    assert list(chi.chi_sweep(2, top)) == [(q, scan_chi(q)) for q in range(2, top + 1)]
+
+
+def test_chi_exact_equals_scan_at_each_edge():
+    for n in range(3, 41):
+        edge = math.factorial(n) - math.comb(n, 2)
+        assert [chi.chi_exact(q) for q in (edge - 1, edge)] == [n - 1, n]
+        assert [scan_chi(q) for q in (edge - 1, edge)] == [n - 1, n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(2), math.log(1e15)))
+def test_chi_exact_equals_scan_log_uniform(u):
+    q = min(max(int(math.exp(u)), 2), 10 ** 15)
+    assert chi.chi_exact(q) == scan_chi(q)
+
+
+def test_edge_certificate_failure_raises(monkeypatch):
+    # a criterion that already holds one below the edge Q_5 = 110
+    criterion = chi.least_possible_criterion
+    monkeypatch.setattr(chi, "least_possible_criterion",
+                        lambda q, n: q == 109 and n == 5 or criterion(q, n))
+    assert chi.chi_exact(17) == 3
+    # from q = 18 on, chi_exact and chi_sweep read the edge Q_5
+    with pytest.raises(RuntimeError, match="chi edge 110 for n=5"):
+        chi.chi_exact(18)
+    with pytest.raises(RuntimeError, match="chi edge 110 for n=5"):
+        list(chi.chi_sweep(2, 20))
 
 
 def test_chi_bounds():
@@ -161,7 +193,7 @@ def test_bracket_equals_bisection_after_a_short_secant(monkeypatch, steps):
     monkeypatch.setattr(chi, "_SECANT_STEPS", steps)
     monkeypatch.setattr(chi, "_gap", lambda q: _recording(gap(q), limit=66 + steps)[0])
     t0 = time.perf_counter()
-    assert [chi._bracket(q, chi.chi_exact(q)) for q in qs] == want
+    assert [chi.x0_bracket(q) for q in qs] == want
     assert time.perf_counter() - t0 < 10
 
 
@@ -213,6 +245,18 @@ def test_sweep_gap_evaluations_per_q(monkeypatch):
         assert sum(counts) / len(counts) <= mean
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 10 ** 4), (5001, 10 ** 4), (10 ** 4, 10 ** 4)])
+def test_sweep_criterion_calls(monkeypatch, lo, hi):
+    # two per edge: 2 * chi(lo) to reach chi(lo) and the next edge, two per edge crossed
+    calls = []
+    criterion = chi.least_possible_criterion
+    monkeypatch.setattr(chi, "least_possible_criterion",
+                        lambda q, n: calls.append((q, n)) or criterion(q, n))
+    chi.chi_table(lo, hi)
+    crossed = scan_chi(hi) - scan_chi(lo)
+    assert len(calls) <= 2 * crossed + 2 * scan_chi(lo)
+
+
 def _records(lo, hi):
     return [chi.chi_record(q) for q in range(lo, hi + 1)]
 
@@ -253,17 +297,6 @@ def test_chi_table_from_a_start_cells_away(monkeypatch, cells):
     # are estimated as without the shift: every row from q = 337 on, and
     # every row but the first four of the second table
     assert len(shifted_rows) == 64 + 97
-
-
-def test_chi_sweep_rescans_when_chi_falls(monkeypatch):
-    # chi does not fall over any tested range; a criterion that answers for q = 10 at
-    # q = 20 makes it fall from 4 to 3, and the sweep starts again from n = 1
-    criterion = chi.least_possible_criterion
-    monkeypatch.setattr(chi, "least_possible_criterion",
-                        lambda q, n: criterion(10 if q == 20 else q, n))
-    swept = list(chi.chi_sweep(2, 40))
-    assert swept == [(q, chi.chi_exact(q)) for q in range(2, 41)]
-    assert [c for q, c in swept if 19 <= q <= 21] == [4, 3, 4]
 
 
 def test_chi_table_examples():

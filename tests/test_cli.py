@@ -285,19 +285,25 @@ def test_chi_table_verify_golden_coverage(capsys):
 
 
 def test_chi_table_verify_golden_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_load_golden_ranges", lambda: [(2, 10000, 9)])
+    # q = 3 lies in no range: a mismatch with an empty expected cell; q = 4 matches
+    monkeypatch.setattr(cli, "_load_golden_ranges", lambda: [(2, 2, 9), (4, 10000, 3)])
     rc, lines = run(capsys, "chi-table", "--q-min", "2", "--q-max", "4",
                     "--verify-golden")
     assert rc == 1
-    assert "2,9,2" in lines
-    assert any("mismatches=3" in line for line in lines)
+    assert lines[2:4] == ["2,9,2", "3,,3"]
+    assert lines[4] == "# verified=false mismatches=2"
 
 
-def test_golden_walk_follows_q_across_gaps():
-    ranges = [(2, 5, 2), (10, 20, 3), (21, 21, 4)]
-    want = [next((c for lo, hi, c in ranges if lo <= q <= hi), None) for q in range(1, 26)]
-    assert list(cli._golden_chi(range(1, 26), ranges)) == want
-    assert want[:11] == [None, 2, 2, 2, 2, None, None, None, None, 3, 3]
+def test_verify_golden_criterion_calls(capsys, monkeypatch):
+    # chi(2) = 2 and 5 edges crossed up to 10^4: at most 2 * 5 + 2 * 2 exact criterion tests
+    calls = []
+    criterion = chi.least_possible_criterion
+    monkeypatch.setattr(chi, "least_possible_criterion",
+                        lambda q, n: calls.append((q, n)) or criterion(q, n))
+    rc, lines = run(capsys, "chi-table", "--q-min", "2", "--q-max", "10000", "--verify-golden")
+    assert (rc, lines[-1]) == (0, "# verified=true q_min=2 q_max=10000 count=9999")
+    assert len(calls) <= 2 * 5 + 2 * 2
+    assert chi.chi_exact(10 ** 4) - chi.chi_exact(2) == 5
 
 
 def test_chi_table_range_validation(capsys):
