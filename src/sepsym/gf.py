@@ -12,12 +12,12 @@ low-degree-first coefficient vector read as a base-p integer.
 Every field has one representation: a q x q addition table and a q x q
 multiplication table, both built the first time a sum or product is asked
 for (FieldSpec.tables). Making a field, enumerating orbits and any walk at
-n = 1 never build them. Products come from one walk over the powers of a
-generator of the units (the exp/log representation; Lidl & Niederreiter,
+n = 1 never build them. Products and inverses come from the discrete logs
+of one generator g of the units (FieldSpec.logs; Lidl & Niederreiter,
 Finite Fields), sums digit by digit from the table of F_p.
 
-Rows are lists up to q = TABLE_MAX_ORDER and array('H') above it; the two
-tables of F_1024 take about 4.4 MB.
+Rows, and the discrete logs, are lists up to q = TABLE_MAX_ORDER and
+array('H') above it; the two tables of F_1024 take about 4.4 MB.
 """
 
 from __future__ import annotations
@@ -153,11 +153,12 @@ class FieldSpec:
         return self.tables[1][a][b]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse, read off a's multiplication row; a testing helper."""
+        """Multiplicative inverse, g^(-log a), from the discrete logs."""
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.tables[1][a].index(1)
+        exp, log = self.logs
+        return exp[-log[a] % (self.q - 1)]
 
     @cached_property
     def tables(self):
@@ -179,28 +180,35 @@ class FieldSpec:
                     rows[lo + m * hi] = as_row(blocks[m * hi:m * (hi + p)])
             add_rows = rows
             m *= p
-        # Products through exp/log: exp[i] = g^i for the first candidate g,
-        # counting from 1, whose powers reach all q - 1 units before 1 again.
-        order = q - 1
+        # Products through exp/log: row a lists g^(log a + log b) for b > 0,
+        # after the 0 that serves b = 0
+        exp, log = self.logs
+        exp2 = exp + exp
+        gather = itemgetter(0, *[1 + i for i in log[1:]])
+        mul_rows = [as_row([0] * q)]
+        mul_rows += [as_row(gather([0, *exp2[log[a]:log[a] + q - 1]])) for a in range(1, q)]
+        return add_rows, mul_rows
+
+    @cached_property
+    def logs(self):
+        """(exp, log), exp[i] = g^i and log[g^i] = i, g the first unit that generates all q - 1."""
+        q = self.q
         for g in range(1, q):
             exp = [1]
             x = g
             while x != 1 and len(exp) < q:
                 exp.append(x)
                 x = self._mul_poly(x, g)
-            if x == 1 and len(exp) == order:
+            if x == 1 and len(exp) == q - 1:
                 break
         else:
             raise RuntimeError("multiplicative group is not cyclic; modulus is reducible")
         log = [0] * q
         for i, x in enumerate(exp):
             log[x] = i
-        exp2 = exp + exp
-        # row a lists g^(log a + log b) for b > 0, after the 0 that serves b = 0
-        gather = itemgetter(0, *[1 + i for i in log[1:]])
-        mul_rows = [as_row([0] * q)]
-        mul_rows += [as_row(gather([0, *exp2[log[a]:log[a] + order]])) for a in range(1, q)]
-        return add_rows, mul_rows
+        if q > TABLE_MAX_ORDER:  # kept for the life of the field, like the table rows
+            exp, log = array("H", exp), array("H", log)
+        return exp, log
 
     def _mul_poly(self, a: int, b: int) -> int:
         """a * b by polynomial multiplication and reduction; used only to walk a generator."""

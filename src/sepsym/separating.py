@@ -14,18 +14,20 @@ with more children than indices the column of s'_t is one map in C. A level
 below n keeps its rows s_1, ..., s_k until the next level is built.
 
 The slice, a result of this package rather than of the paper: let t0 = min
-T, H the t0-th powers of the units, of order h, and R one unit of each
-coset of H. Each s_t is homogeneous of degree t, so v -> lambda v maps
-orbits to orbits and multiplies s_t by lambda**t. Two distinct orbits that
-collide on T share s_t0 = c, and when c != 0 some lambda moves c into R,
-keeping the pair distinct and colliding. So T separates iff no two orbits
-with s_t0 in S = {0} + R collide, and the orbits, and the fingerprints,
-number their count at s_t0 = 0 plus h times their count at s_t0 in R.
-check_separating walks only that slice and checks the orbit count it
-rebuilds against binom(n+q-1, q-1). At level n a part has at most |S|
-children in it, x = (c - s_t0) / s_{t0-1} >= a, or all or none if s_{t0-1}
-= 0, solved for all parts at once. For t0 = 1 the slice is s_1 in {0, 1};
-for q = 2, or T empty (t0 = 0, read as s_0 = 1), it is every orbit.
+T, g = gcd(t0, q - 1), H the t0-th powers of the units, which are the g-th
+powers, of order h = (q - 1) / g, and R = {gen**j : j < g}, gen the
+generator of FieldSpec.logs, one unit of each coset of H. Each s_t is
+homogeneous of degree t, so v -> lambda v maps orbits to orbits and
+multiplies s_t by lambda**t. Two distinct orbits that collide on T share
+s_t0 = c, and when c != 0 some lambda moves c into R, keeping the pair
+distinct and colliding. So T separates iff no two orbits with s_t0 in S =
+{0} + R collide, and the orbits, and the fingerprints, number their count
+at s_t0 = 0 plus h times their count at s_t0 in R. check_separating walks
+only that slice and checks the orbit count it rebuilds against
+binom(n+q-1, q-1). At level n a part has at most |S| children in it, x =
+(c - s_t0) / s_{t0-1} >= a, or all or none if s_{t0-1} = 0, solved for all
+parts at once. For g = 1 the slice is s_t0 in {0, 1}; for h = 1 (q = 2, T
+empty, or (q - 1) | t0) it is every orbit, and the walk keeps every row.
 
 A negative verdict's witness, the first collision in lexicographic order,
 comes from a walk over every orbit, paired with enumerate_orbits to name
@@ -62,23 +64,25 @@ class SeparationVerdict(NamedTuple):
     fingerprint_count: int
 
 
-def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cut=None
+def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=(), tally=None
                    ) -> Iterator[Iterable[tuple[int, ...]]]:
-    """Stream the fingerprints (s_t for t in idx) of the orbits with s_t0 in cs.
+    """Stream the fingerprints (s_t for t in idx) of the orbits with s_t0 in cs, t0 = idx[0].
 
-    cut = (t0, cs, minus, inv, tally) comes from check_separating; tally
-    counts the orbits streamed, [0] with s_t0 = 0 and [1] the others.
-    Without cut every orbit is streamed, in lexicographic order: each level
-    below n, then level n by parts. The orbit bound is enumerate_orbits'.
+    tally counts the orbits streamed, [0] with s_t0 = 0 and [1] the others;
+    without cs every orbit is streamed, and counted in [1], in lexicographic
+    order: each level below n, then level n by parts. The orbit bound is
+    enumerate_orbits'.
     """
     enumerate_orbits(spec, n)  # checks n and the orbit bound
-    q = spec.q
-    t0, cs, minus, inv, tally = cut or (0, range(q), (), None, [0, 0])
+    q, t0 = spec.q, idx[0] if cs else 0
+    tally = [0, 0] if tally is None else tally
     in_s = frozenset(cs).__contains__
 
     def keep(rows, k):  # the rows of level k with s_t0 in cs, counted by s_t0 = 0 or not
-        # s_t0 = 0 on every row if t0 > k; t0 = 0 reads s_0 = 1
-        col = list(map(itemgetter(t0 - 1), rows)) if 0 < t0 <= k else [0 if t0 else 1] * len(rows)
+        if not cs:
+            tally[1] += len(rows)
+            return rows
+        col = list(map(itemgetter(t0 - 1), rows)) if t0 <= k else [0] * len(rows)
         rows = list(itertools.compress(rows, map(in_s, col)))
         zeros = col.count(0)
         tally[0], tally[1] = tally[0] + zeros, tally[1] + len(rows) - zeros
@@ -109,7 +113,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cut=None
         if k == 1:
             del built[0]  # the zero orbit: its nonzero part is level 0's
         level = built
-    if not t0:  # s_0 = 1: every child of every part
+    if not cs:  # every child of every part
         tally[1] += sum(q - a for a, _ in level)
         yield from (batch((1, *r, 0), a, idx) for a, r in level)
         return
@@ -122,9 +126,15 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cut=None
         if in_s(ei):
             tally[ei != 0] += q - a
             yield batch((1, *r, 0), a, idx)
-    over = t0 > 1 and list(map(mul_t.__getitem__, map(inv.__getitem__, d)))  # rows of 1/d
-    for c, m in zip(cs, minus):  # the one child x = (c - e) / d, if d != 0 and x >= a
-        xs = list(map(getitem, over, map(m.__getitem__, e)) if over else map(m.__getitem__, e))
+    if t0 > 1:  # the rows of 1/d, 1/0 read as 0
+        exp, log = spec.logs
+        inv = [0, *[exp[-i % (q - 1)] for i in log[1:]]]
+        over = list(map(mul_t.__getitem__, map(inv.__getitem__, d)))
+    neg = mul_t[spec.p - 1]  # -1 is the index p - 1
+    for c in cs:  # the one child x = (c - e) / d, if d != 0 and x >= a
+        minus = list(map(add_t[c].__getitem__, neg))  # minus[e] = c - e
+        ce = map(minus.__getitem__, e)
+        xs = list(map(getitem, over, ce) if t0 > 1 else ce)
         mask = list(map(ge, xs, heads))
         mx = list(map(mul_t.__getitem__, itertools.compress(xs, mask)))
         tally[c != 0] += len(mx)
@@ -161,16 +171,6 @@ def _value_rows(spec: FieldSpec, n: int) -> tuple:
     return tuple(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)))))
 
 
-def _powers(mul_t, e: int) -> list[int]:
-    """[y**e for every element y], by square and multiply on whole columns of the table."""
-    out, base = [1] * len(mul_t), list(range(len(mul_t)))
-    while e:
-        if e & 1:
-            out = list(map(getitem, map(mul_t.__getitem__, out), base))
-        base, e = list(map(getitem, map(mul_t.__getitem__, base), base)), e >> 1
-    return out
-
-
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
     """Test injectivity of the fingerprint map over every orbit representative.
 
@@ -181,26 +181,17 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> Separat
     paired with the current one.
     """
     idx = normalize_indices(indices, n)
-    enumerate_orbits(spec, n)  # checks n and the orbit bound before any table is built
+    enumerate_orbits(spec, n)  # checks n and the orbit bound before any table or log is built
     q, t0 = spec.q, idx[0] if idx else 0
-    g = math.gcd(t0, q - 1)  # H is the g-th powers too, and y**((q-1)/g) names y's coset
-    if 1 < g < q - 1:
-        coset = _powers(spec.tables[1], (q - 1) // g)
-        reps = sorted({coset[y]: y for y in range(q - 1, 0, -1)}.values())
-    else:  # H is every unit, or 1 alone; no tables
-        reps = [1] if g == 1 else range(1, q)
-    cs, minus, inv, tally = (0, *reps), (), None, [0, 0]
-    if t0 and n > 1:  # minus[i][e] = cs[i] - e, -1 being the index p - 1; 1/0 reads as 0
-        add_t, mul_t = spec.tables
-        minus = [[add_t[c][z] for z in mul_t[spec.p - 1]] for c in cs]
-        inv = [0, *_powers(mul_t, q - 2)[1:]] if t0 > 1 else None
-    batches = _orbit_batches(spec, n, idx, (t0, cs, minus, inv, tally))
-    seen = set(itertools.chain.from_iterable(batches))
-    h = (q - 1) // g
+    g = math.gcd(t0, q - 1)
+    h, tally = (q - 1) // g, [0, 0]
+    # every orbit if H = {1}; R = {gen**j : j < g}, which is {1}, with no logs, if g = 1
+    cs = () if h == 1 else (0, 1) if g == 1 else (0, *spec.logs[0][:g])
+    seen = set(itertools.chain.from_iterable(_orbit_batches(spec, n, idx, cs, tally)))
     total = tally[0] + h * tally[1]
     if total != orbit_count(q, n):
         raise RuntimeError(f"the slice rebuilds {total} orbits, not {orbit_count(q, n)}")
-    zero = list(map(itemgetter(0), seen)).count(0) if idx else 0
+    zero = list(map(itemgetter(0), seen)).count(0) if cs else 0
     count = zero + h * (len(seen) - zero)
     witness = None if count == total else _first_collision(spec, n, idx)
     return SeparationVerdict(separating=witness is None, witness=witness,

@@ -196,6 +196,18 @@ def test_inverses():
         assert spec.mul(a, spec.inv(a)) == 1
 
 
+@pytest.mark.parametrize("q", [q for q in range(2, 257) if gf.prime_power(q)]
+                         + [289, 343, 512, 729, 1024])
+def test_logs_walk_a_generator(q):
+    spec = gf.field_for_order(q)
+    exp, log = spec.logs
+    assert exp[0] == 1 and sorted(exp) == list(range(1, q))
+    for i in range(q - 2):
+        assert exp[i + 1] == spec.mul(exp[i], exp[1])
+    for i, x in enumerate(exp):
+        assert log[x] == i
+
+
 def test_index_validation():
     F4 = gf.field_for_order(4)
     with pytest.raises(ParameterError):

@@ -179,6 +179,7 @@ def test_walks_without_products_leave_tables_unbuilt():
     assert min_separating_size(spec, 1) == (1, (1,))
     assert esym_all((5,), spec) == (5,)
     assert "tables" not in vars(spec)
+    assert "logs" not in vars(spec)
     assert esym_all((5, 7), spec) == (spec.add(5, 7), spec.mul(5, 7))
     assert "tables" in vars(spec)
 
@@ -296,11 +297,13 @@ def test_scaled_sets_separate_on_longest_vectors():
 
 # Index sets whose least index t0 >= 2 has gcd(t0, q - 1) > 1, so that the
 # slice holds several cosets of the t0-th powers; none contains 1, so most do
-# not separate. Also the empty set (t0 = 0: every orbit is in the slice) and
-# n = 1.
+# not separate. Also t0 = q - 1 and the empty set (t0 = 0), where the t0-th
+# powers are 1 alone and every orbit is in the slice, and n = 1.
 SLICE_CELLS = [(q, n, t0) for q in (7, 9, 13, 16, 25) for t0 in (2, 3, 4) for n in range(t0, 9)
                if math.gcd(t0, q - 1) > 1 and orbit_count(q, n) <= 3000]
 SLICE_CELLS += [(q, n, t0) for q in (7, 9, 13, 16, 25) for n, t0 in ((1, 0), (1, 1), (2, 0), (3, 0))]
+SLICE_CELLS += [(q, n, q - 1) for q in (3, 4, 5, 7) for n in range(q - 1, 9)
+                if orbit_count(q, n) <= 3000]
 
 
 @settings(max_examples=80, deadline=None)
@@ -314,8 +317,10 @@ def test_slices_of_several_cosets_match_naive_oracle(cell, rng):
         naive_check(spec, n, T)
 
 
-def test_slice_orbit_count_is_checked(monkeypatch):
-    # the orbit count rebuilt from the slice is compared with binom(n+q-1, q-1)
+@pytest.mark.parametrize("T", [(1, 2, 3, 4, 6), (3, 6)], ids=["slice", "every_orbit"])
+def test_slice_orbit_count_is_checked(monkeypatch, T):
+    # the orbit count rebuilt from the slice is compared with binom(n+q-1, q-1);
+    # for T = (3, 6) over F_4 the slice is every orbit
     monkeypatch.setattr(separating, "orbit_count", lambda q, n: math.comb(n + q - 1, q - 1) + 1)
     with pytest.raises(RuntimeError, match="the slice rebuilds 84 orbits"):
-        check_separating(gf.field_for_order(4), 6, (1, 2, 3, 4, 6))
+        check_separating(gf.field_for_order(4), 6, T)
