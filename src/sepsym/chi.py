@@ -32,16 +32,20 @@ and that change is the cell both bisection and the two probes find.
 A margin, not the width, certifies the bracket: each end of the cell moves
 TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
 
-chi_table sweeps q upward: chi steps up by one at each edge, and from the
-fifth row on each cell search starts, with no secant, from the cubic
-extrapolation of the last four roots (each interpolated between its cell's
-two probes); the first rows start from a secant at (chi, chi+1).
-chi_record(q) is the one-row table, so it always starts cold. The start
-decides only how many probes are taken; every row equals chi_record's.
+chi_rows sweeps q upward in one loop. chi and floor(ln ln q) come as runs
+(chi_runs steps chi up by one at each edge; lnln_runs finds each step of
+the lower bound by bisection on lnln_floor). From the fifth row on each
+cell search starts, with no secant, from the cubic extrapolation of the
+last four roots (each interpolated between its cell's two probes); the
+first rows start from a secant at (chi, chi+1). chi_table builds its
+records from those rows, and chi_record(q) is the one-row table, so it
+always starts cold. The start decides only how many probes are taken;
+every row equals chi_record's.
 """
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import math
 from typing import NamedTuple
@@ -50,6 +54,7 @@ from sepsym.errors import ParameterError
 from sepsym.exactcount import least_possible_criterion
 
 TOL = 1e-9
+_MARGIN = TOL / 4  # each end of a bracket moves this far outward
 _NEAR_INT_BAND = 1e-9
 
 # Bisecting [c, c+1] to a width below TOL/2 halves 31 times: its cells.
@@ -112,15 +117,18 @@ def chi_exact(q: int) -> int:
     return n
 
 
-def chi_sweep(q_min: int, q_max: int):
-    """(q, chi_exact(q)) for q = q_min..q_max: chi_exact(q_min), then one step up at each edge."""
+def chi_runs(q_min: int, q_max: int):
+    """(lo, hi, chi) on the maximal runs of [q_min, q_max] where chi is constant.
+
+    Starts at chi_exact(q_min) and steps up by one at each edge, so a run
+    ends one below an edge.
+    """
     c = chi_exact(q_min)
-    edge = _edge(c + 1)
-    for q in range(q_min, q_max + 1):
-        while edge <= q:
-            c += 1
-            edge = _edge(c + 1)
-        yield q, c
+    lo, edge = q_min, _edge(c + 1)
+    while edge <= q_max:
+        yield lo, edge - 1, c
+        lo, c, edge = edge, c + 1, _edge(c + 2)
+    yield lo, q_max, c
 
 
 def _gap(q: int):
@@ -159,16 +167,24 @@ def _at(gap, c: int, i: int) -> float:
 def _cell(gap, c: int, x_hat: float):
     """(lo, hi, root): the grid cell [c + m*_CELL, c + (m+1)*_CELL] where gap changes sign.
 
-    Starts in the cell holding x_hat (clamped to [c, c+1]); when its two
-    probes do not show the sign change, gallops toward it with doubling
-    steps and bisects the grid points between, so an estimate d cells off
-    costs about 2*log2(d) probes. Like bisection, it never evaluates c or
-    c+1. root lies in the cell: the zero of the line through the gap at its
-    two ends, or the cell's midpoint when one end is c or c+1.
+    Starts in the cell holding x_hat (clamped to [c, c+1]) and probes its two
+    ends; _search finds the sign change from there. Like bisection, it never
+    evaluates c or c+1.
     """
     lo = min(max(math.floor((x_hat - c) * _CELLS), 0), _CELLS - 1)
+    return _search(gap, c, lo, _at(gap, c, lo), _at(gap, c, lo + 1))
+
+
+def _search(gap, c: int, lo: int, g_lo: float, g_hi: float):
+    """_cell from the cell [c + lo*_CELL, c + (lo+1)*_CELL], whose ends have gap g_lo and g_hi.
+
+    When the two probes do not show the sign change, gallops toward it with
+    doubling steps and bisects the grid points between, so an estimate d
+    cells off costs about 2*log2(d) probes. root lies in the cell: the zero
+    of the line through the gap at its two ends, or the cell's midpoint when
+    one end is c or c+1.
+    """
     hi, step = lo + 1, 1
-    g_lo, g_hi = _at(gap, c, lo), _at(gap, c, hi)
     while g_lo >= 0.0:
         hi, g_hi, lo, step = lo, g_lo, max(lo - step, 0), 2 * step
         g_lo = _at(gap, c, lo)
@@ -216,12 +232,16 @@ def _from_cell(q: int, c: int, lo: float, hi: float):
     (least at q = 2) and an error near 1e-14, so each moved end has
     |gap| >= 9e-11 on its own side of the root. An integer root c+1
     (q**c == binom(c+q, c+1)) ends strictly inside; other brackets are
-    clamped to [c, c+1]. Only the last cell, the one with hi = c+1, can hold
-    an integer root, so the exact test runs there alone.
+    clamped to [c, c+1], and as TOL/4 < _CELL only an end at c or c+1 is
+    clamped: it stays where it is. Only the last cell, the one with
+    hi = c+1, can hold an integer root, so the exact test runs there alone.
     """
-    if hi >= c + 1 and q ** c == math.comb(c + q, c + 1):
-        return (lo - TOL / 4, hi + TOL / 4, True)
-    return (max(lo - TOL / 4, float(c)), min(hi + TOL / 4, float(c + 1)), False)
+    x0_lo = lo - _MARGIN if lo > c else lo
+    if hi < c + 1:
+        return x0_lo, hi + _MARGIN, False
+    if q ** c == math.comb(c + q, c + 1):
+        return x0_lo, hi + _MARGIN, True
+    return x0_lo, hi, False
 
 
 def x0_bracket(q: int):
@@ -248,6 +268,20 @@ def lnln_floor(q: int) -> int:
     return math.floor(v)
 
 
+def lnln_runs(q_min: int, q_max: int):
+    """(lo, hi, k) on the maximal runs of [q_min, q_max] where lnln_floor is k.
+
+    Each run's end is found by bisection with lnln_floor itself as the key,
+    never from a float e**(e**k): a run costs about log2(q_max - lo) calls.
+    """
+    lo = q_min
+    while lo <= q_max:
+        k, rest = lnln_floor(lo), range(lo, q_max + 1)
+        hi = rest[bisect.bisect_right(rest, k, key=lnln_floor) - 1]
+        yield lo, hi, k
+        lo = hi + 1
+
+
 def chi_record(q: int) -> ChiRecord:
     """The full per-q record: exact chi, root bracket, and lower bound; chi_table(q, q)[0]."""
     if q < 2:
@@ -267,26 +301,44 @@ def _extrapolate(c: int, r1: float, r2: float, r3: float, r4: float):
     return None
 
 
-def chi_table(q_min: int, q_max: int) -> list[ChiRecord]:
-    """ChiRecord for every q in [q_min, q_max], ordered by q; each equals chi_record(q).
+def chi_rows(q_min: int, q_max: int):
+    """The row (q, chi, x0_lo, x0_hi, x0_is_integer, lnln_floor) of each q in [q_min, q_max].
 
-    One upward sweep: chi comes from chi_sweep, which steps it up by one at
-    each certified edge n! - binom(n, 2), and from the fifth row on the cell
-    search starts from the root extrapolated from the last four rows' roots
-    where _extrapolate gives one, and from the cold secant's estimate
-    elsewhere.
+    Plain tuples in ChiRecord's field order, from one upward sweep: chi and
+    the lower bound come as runs (chi_runs, lnln_runs). From the fifth row
+    on, the cell search starts from the root extrapolated from the last four
+    rows' roots where _extrapolate gives one: the two ends of that cell are
+    probed here, and _search runs only when they do not straddle the sign
+    change. Elsewhere the row starts from the cold secant's estimate.
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
-    records = []
+    bounds = lnln_runs(q_min, q_max)
+    _, k_hi, k = next(bounds)
     r1 = r2 = r3 = r4 = None
-    for q, c in chi_sweep(q_min, q_max):
-        gap = _gap(q)
-        x_hat = None if r4 is None else _extrapolate(c, r1, r2, r3, r4)
-        lo, hi, root = _cell(gap, c, _secant(gap, c) if x_hat is None else x_hat)
-        records.append(ChiRecord(q, c, *_from_cell(q, c, lo, hi), lnln_floor(q)))
-        r1, r2, r3, r4 = root, r1, r2, r3
-    return records
+    for lo, hi, c in chi_runs(q_min, q_max):
+        for q in range(lo, hi + 1):
+            if q > k_hi:
+                _, k_hi, k = next(bounds)
+            gap = _gap(q)
+            x_hat = None if r4 is None else _extrapolate(c, r1, r2, r3, r4)
+            m = 0 if x_hat is None else int((x_hat - c) * _CELLS)
+            if 0 < m < _CELLS - 1:  # an estimate, in a cell with neither end at c nor c+1
+                x = c + m * _CELL
+                g_lo, g_hi = gap(x), gap(x + _CELL)
+                if g_lo < 0.0 <= g_hi:
+                    x_lo, x_hi, root = x, x + _CELL, x + g_lo / (g_lo - g_hi) * _CELL
+                else:
+                    x_lo, x_hi, root = _search(gap, c, m, g_lo, g_hi)
+            else:
+                x_lo, x_hi, root = _cell(gap, c, _secant(gap, c) if x_hat is None else x_hat)
+            yield (q, c, *_from_cell(q, c, x_lo, x_hi), k)
+            r1, r2, r3, r4 = root, r1, r2, r3
+
+
+def chi_table(q_min: int, q_max: int) -> list[ChiRecord]:
+    """ChiRecord for every q in [q_min, q_max], ordered by q: the rows of chi_rows."""
+    return list(map(ChiRecord._make, chi_rows(q_min, q_max)))
 
 
 def technical_expression(q: float) -> float:

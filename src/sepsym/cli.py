@@ -11,6 +11,7 @@ for a process stopped by SIGPIPE.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -59,17 +60,40 @@ class TableWriter:
             print(SCHEMA_TAG, file=stream)
             print(",".join(self.columns), file=stream)
 
-    def _cells(self, values, keys):
-        """The cells of values; in JSON each with its key, from keys, in front."""
-        if self.fmt == "csv":
-            get = _CSV_CELL.get
-            return [get(type(v), str)(v) for v in values]
-        get = _JSON_VALUE.get
-        return [k + get(type(v), json.dumps)(v) for k, v in zip(keys, values)]
+    def _joined(self, batch, keys):
+        """Each row of batch as its cells joined by sep; in JSON each cell has its key from keys.
+
+        Cells are formatted column by column: a column whose cells share one
+        type goes through that type's cell function in one map, any other
+        column cell by cell.
+        """
+        cell_of, default = (_CSV_CELL, str) if self.fmt == "csv" else (_JSON_VALUE, json.dumps)
+        columns = []
+        for column, key in zip(zip(*batch), keys):
+            kinds = set(map(type, column))
+            if len(kinds) == 1:
+                cells = map(cell_of.get(kinds.pop(), default), column)
+            else:
+                cells = [cell_of.get(type(v), default)(v) for v in column]
+            columns.append(cells if self.fmt == "csv" else map(key.__add__, cells))
+        return map(self._sep.join, zip(*columns)) if columns else [""] * len(batch)
+
+    def table(self, rows) -> int:
+        """Every row of the iterable rows, as row writes it, ROWS_PER_WRITE rows at a time.
+
+        Returns the number of rows.
+        """
+        rows, count = iter(rows), 0
+        between = self._end + self._open
+        for batch in iter(lambda: list(itertools.islice(rows, ROWS_PER_WRITE)), []):
+            self.stream.write(self._open + between.join(self._joined(batch, self._keys))
+                              + self._end)
+            count += len(batch)
+        return count
 
     def row(self, values):
         """One row from a tuple of values in column order."""
-        self.stream.write(self._open + self._sep.join(self._cells(values, self._keys)) + self._end)
+        self.table((values,))
 
     def rows(self, lo: int, hi: int, rest):
         """The rows (n, *rest) for n = lo, ..., hi, as row writes them, ROWS_PER_WRITE at a time.
@@ -77,7 +101,8 @@ class TableWriter:
         rest is formatted once, and an int's cell is str(n) in both formats.
         """
         head = self._open + ("" if self.fmt == "csv" else self._keys[0])
-        tail = "".join(self._sep + cell for cell in self._cells(rest, self._keys[1:])) + self._end
+        cells = "".join(self._joined([rest], self._keys[1:]))  # one row: its cells joined by sep
+        tail = (self._sep + cells if rest else "") + self._end
         for start in range(lo, hi + 1, ROWS_PER_WRITE):
             ns = map(str, range(start, min(start + ROWS_PER_WRITE, hi + 1)))
             self.stream.write(head + (tail + head).join(ns) + tail)
@@ -122,6 +147,21 @@ def _load_golden_ranges():
     text = resources.files("sepsym").joinpath("data/chi_golden.csv").read_text()
     return [tuple(map(int, line.split(","))) for line in map(str.strip, text.splitlines())
             if line and not line.startswith(("#", "q_lo"))]
+
+
+def _golden_runs(ranges, q_min: int, q_max: int):
+    """(lo, hi, chi) on [q_min, q_max] from the golden ranges, chi None where no range lies."""
+    q = q_min
+    for lo, hi, c in sorted(ranges):
+        lo, hi = max(lo, q), min(hi, q_max)
+        if lo > hi:
+            continue
+        if lo > q:
+            yield q, lo - 1, None
+        yield lo, hi, c
+        q = hi + 1
+    if q <= q_max:
+        yield q, q_max, None
 
 
 # ------------------------------------------------------------- commands --
@@ -179,14 +219,16 @@ def _cmd_chi_table(args, stream) -> int:
             raise ParameterError(
                 f"the golden table covers q in [{lo_cov}, {hi_cov}]; "
                 f"requested [{q_min}, {q_max}]")
-        golden = {q: c for lo, hi, c in ranges for q in range(lo, hi + 1)}
-        mismatches = [(q, golden.get(q), actual) for q, actual in chi.chi_sweep(q_min, q_max)
-                      if actual != golden.get(q)]
+        mismatches = [(lo, hi, expected, actual) for lo, hi, expected, actual
+                      in _common_runs(_golden_runs(ranges, q_min, q_max),
+                                      chi.chi_runs(q_min, q_max))
+                      if expected != actual]
         if mismatches:
             writer = TableWriter(stream, args.format, ("q", "chi_expected", "chi_actual"))
-            for mismatch in mismatches:
-                writer.row(mismatch)
-            writer.summary({"verified": False, "mismatches": len(mismatches)})
+            writer.table((q, expected, actual) for lo, hi, expected, actual in mismatches
+                         for q in range(lo, hi + 1))
+            writer.summary({"verified": False,
+                            "mismatches": sum(hi - lo + 1 for lo, hi, _, _ in mismatches)})
             return EXIT_VERIFY_FAILED
         count = q_max - q_min + 1
         if args.format == "csv":
@@ -196,27 +238,24 @@ def _cmd_chi_table(args, stream) -> int:
             print(json.dumps({"verified": True, "q_min": q_min, "q_max": q_max,
                               "count": count}), file=stream)
         return EXIT_OK
-    records = chi.chi_table(q_min, q_max)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
-    for rec in records:
-        writer.row(rec)
+    writer.table(chi.chi_rows(q_min, q_max))
     return EXIT_OK
 
 
-def _common_runs(exact, predicted):
-    """(n_lo, n_hi, delta, kind, predicted) on the union of the breakpoints of two run lists.
+def _common_runs(a, b):
+    """(lo, hi, *a_values, *b_values) on the union of the breakpoints of two run lists.
 
-    Both lists cover the same range: exact as (n_lo, n_hi, delta), the
-    prediction as (n_lo, n_hi, kind, predicted).
+    Each run is (lo, hi, *values), and both lists cover the same range.
     """
-    e, p = next(exact, None), next(predicted, None)
-    while e and p:
-        lo, hi = max(e[0], p[0]), min(e[1], p[1])
-        yield lo, hi, e[2], p[2], p[3]
-        if e[1] == hi:
-            e = next(exact, None)
-        if p[1] == hi:
-            p = next(predicted, None)
+    x, y = next(a, None), next(b, None)
+    while x and y:
+        lo, hi = max(x[0], y[0]), min(x[1], y[1])
+        yield lo, hi, *x[2:], *y[2:]
+        if x[1] == hi:
+            x = next(a, None)
+        if y[1] == hi:
+            y = next(b, None)
 
 
 def _cmd_delta3(args, stream) -> int:
@@ -301,10 +340,7 @@ def _cmd_orbits(args, stream) -> int:
     field = gf.field_for_order(args.q)
     reps = enumerate_orbits(field, args.n)
     writer = TableWriter(stream, args.format, ("rep",))
-    total = 0
-    for rep in reps:
-        writer.row((_join(rep),))
-        total += 1
+    total = writer.table((_join(rep),) for rep in reps)
     writer.summary({"count": total})
     return EXIT_OK
 
@@ -371,10 +407,15 @@ def _silence_stdout():
     os.close(devnull)
 
 
+_parser = None  # built by the first main call, then reused: building it takes about 1 ms
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     out = getattr(args, "out", None)

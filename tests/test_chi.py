@@ -12,6 +12,10 @@ from sepsym.errors import ParameterError
 from support import bisect_bracket, bisect_cell, mp_gap, scan_chi
 
 
+def _expand(runs):
+    return [(q, value) for lo, hi, value in runs for q in range(lo, hi + 1)]
+
+
 def test_chi_exact_examples():
     assert chi.chi_exact(2) == 2
     assert chi.chi_exact(17) == 3
@@ -19,9 +23,12 @@ def test_chi_exact_examples():
     assert chi.chi_exact(5019) == 7
 
 
-def test_chi_sweep_equals_scan():
+def test_chi_runs_equal_scan():
     top = 2 * 10 ** 5
-    assert list(chi.chi_sweep(2, top)) == [(q, scan_chi(q)) for q in range(2, top + 1)]
+    runs = list(chi.chi_runs(2, top))
+    assert _expand(runs) == [(q, scan_chi(q)) for q in range(2, top + 1)]
+    # maximal runs: one per value of chi, each starting at an edge
+    assert [lo for lo, _, _ in runs] == [2, 3, 18, 110, 705, 5019, 40292]
 
 
 def test_chi_exact_equals_scan_at_each_edge():
@@ -44,11 +51,11 @@ def test_edge_certificate_failure_raises(monkeypatch):
     monkeypatch.setattr(chi, "least_possible_criterion",
                         lambda q, n: q == 109 and n == 5 or criterion(q, n))
     assert chi.chi_exact(17) == 3
-    # from q = 18 on, chi_exact and chi_sweep read the edge Q_5
+    # from q = 18 on, chi_exact and chi_runs read the edge Q_5
     with pytest.raises(RuntimeError, match="chi edge 110 for n=5"):
         chi.chi_exact(18)
     with pytest.raises(RuntimeError, match="chi edge 110 for n=5"):
-        list(chi.chi_sweep(2, 20))
+        list(chi.chi_runs(2, 20))
 
 
 def test_chi_bounds():
@@ -342,6 +349,62 @@ def test_lnln_floor_below_a_threshold_with_more_digits_than_the_float_recheck(k)
         assert mpmath.floor(mpmath.log(mpmath.log(q + 1))) == k
     assert chi.lnln_floor(q) == k - 1
     assert chi.lnln_floor(q + 1) == k
+
+
+def test_lnln_runs_equal_per_q_floor():
+    top = 2 * 10 ** 5
+    runs = list(chi.lnln_runs(2, top))
+    assert _expand(runs) == [(q, chi.lnln_floor(q)) for q in range(2, top + 1)]
+    # maximal runs: the steps at 3, 16 and 1619, and nothing else
+    assert runs == [(2, 2, -1), (3, 15, 0), (16, 1618, 1), (1619, top, 2)]
+
+
+# windows that start at, end at and straddle the steps 3, 16 and 1619
+@pytest.mark.parametrize("lo, hi", [(2, 3), (3, 3), (2, 40), (15, 16), (16, 16), (14, 18),
+                                    (1618, 1619), (1619, 1620), (1500, 1700), (2, 2000)])
+def test_lnln_runs_on_windows_across_steps(lo, hi):
+    want = [chi.lnln_floor(q) for q in range(lo, hi + 1)]
+    assert [k for _, k in _expand(chi.lnln_runs(lo, hi))] == want
+    assert [rec.lower_bound for rec in chi.chi_table(lo, hi)] == want
+
+
+def test_lnln_floor_at_the_fourth_step_through_chi_record():
+    # ceil(e^(e^3)) = 528491312: the least q with floor(ln ln q) = 3
+    with mpmath.workdps(50):
+        edge = int(mpmath.ceil(mpmath.e ** mpmath.e ** 3))
+        want = [int(mpmath.floor(mpmath.log(mpmath.log(q)))) for q in range(edge - 2, edge + 3)]
+    assert edge == 528491312
+    assert want == [2, 2, 3, 3, 3]
+    assert [chi.chi_record(q).lower_bound for q in range(edge - 2, edge + 3)] == want
+    assert [rec.lower_bound for rec in chi.chi_table(edge - 2, edge + 2)] == want
+
+
+@pytest.mark.parametrize("q", [10 ** 15, 528491311, 528491312])
+def test_chi_record_lnln_work_guard(monkeypatch, q):
+    # a record reads the bound's one run: a walk from a float e^(e^k), off
+    # by about 1.5*10^9 integers at k = 4, fails here at the fifth call
+    calls = []
+    lnln_floor = chi.lnln_floor
+
+    def counted(x):
+        calls.append(x)
+        assert len(calls) <= 4, "too many lnln_floor calls"
+        return lnln_floor(x)
+    monkeypatch.setattr(chi, "lnln_floor", counted)
+    assert chi.chi_record(q).lower_bound == lnln_floor(q)
+    assert len(calls) <= 4
+
+
+def test_lnln_runs_step_cost(monkeypatch):
+    # one call for a run's value and a bisection over the rest of the range for its end
+    calls = []
+    lnln_floor = chi.lnln_floor
+    monkeypatch.setattr(chi, "lnln_floor", lambda x: calls.append(x) or lnln_floor(x))
+    assert list(chi.lnln_runs(1700, 10 ** 6)) == [(1700, 10 ** 6, 2)]
+    assert len(calls) <= 1 + 21
+    calls.clear()
+    assert len(list(chi.lnln_runs(2, 10 ** 6))) == 4
+    assert len(calls) <= 4 * (1 + 21)
 
 
 def test_technical_expression_examples():

@@ -16,7 +16,7 @@ import sepsym
 from sepsym import chi, cli, f3, separating
 from sepsym.errors import NotSeparatingError, ParameterError
 from sepsym.exactcount import delta3
-from support import naive_defect
+from support import naive_defect, scan_chi
 
 # The checkout's src directory, so that child interpreters run the same code.
 SRC = str(pathlib.Path(sepsym.__file__).resolve().parents[1])
@@ -109,6 +109,27 @@ def test_writer_run_equals_its_rows(pairs, first, lo, length):
         # row writes each row at once, rows them in pieces of ROWS_PER_WRITE
         assert len(rows.writes) == length
         assert runs.writes == ["".join(rows.writes[i:i + chunk]) for i in range(0, length, chunk)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(), max_size=6, unique=True),
+       st.lists(st.lists(CELL_VALUES, min_size=6, max_size=6), min_size=1, max_size=5),
+       st.integers(0, 2 * cli.ROWS_PER_WRITE + 5))
+def test_writer_table_equals_the_cell_join_and_json_dumps(columns, pool, length):
+    # columns of one type and of mixed types, in tables past two chunks
+    columns = tuple(columns)
+    rows = [tuple(pool[i * i % len(pool)][:len(columns)]) for i in range(length)]
+    chunk = cli.ROWS_PER_WRITE
+    for fmt in ("csv", "json"):
+        stream = _Writes()
+        writer = cli.TableWriter(stream, fmt, columns)
+        stream.writes = []
+        assert writer.table(iter(rows)) == length
+        if fmt == "csv":
+            want = [",".join(_old_cell(v) for v in row) + "\n" for row in rows]
+        else:
+            want = [json.dumps(dict(zip(columns, row))) + "\n" for row in rows]
+        assert stream.writes == ["".join(want[i:i + chunk]) for i in range(0, length, chunk)]
 
 
 def test_import_loads_no_process_pool():
@@ -271,6 +292,18 @@ def test_records_are_their_rows(capsys):
     assert json_rows(lines) == [dict(zip(cli.CHI_COLUMNS, rec)) for rec in chi.chi_table(2, 40)]
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 2 * 10 ** 4), (9 * 10 ** 5, 10 ** 6)])
+def test_chi_table_bytes_equal_per_record_rows(capsys, lo, hi):
+    # the batched, per-column writer against each record formatted on its own
+    records = chi.chi_table(lo, hi)
+    header = [cli.SCHEMA_TAG, ",".join(cli.CHI_COLUMNS)]
+    want = {"csv": header + [",".join(_old_cell(v) for v in rec) for rec in records],
+            "json": [json.dumps(dict(zip(cli.CHI_COLUMNS, rec))) for rec in records]}
+    for fmt, lines in want.items():
+        rc = cli.main(["chi-table", "--q-min", str(lo), "--q-max", str(hi), "--format", fmt])
+        assert (rc, capsys.readouterr().out) == (0, "\n".join(lines) + "\n")
+
+
 def test_chi_table_verify_golden_ok(capsys):
     rc, lines = run(capsys, "chi-table", "--q-min", "2", "--q-max", "120",
                     "--verify-golden")
@@ -292,6 +325,27 @@ def test_chi_table_verify_golden_mismatch(capsys, monkeypatch):
     assert rc == 1
     assert lines[2:4] == ["2,9,2", "3,,3"]
     assert lines[4] == "# verified=false mismatches=2"
+
+
+# gaps (q in no range), wrong values across chi's steps at 18 and 110, ranges
+# that start before q_min or end past q_max, and an unsorted table
+@pytest.mark.parametrize("ranges, q_min, q_max", [
+    ([(2, 2, 9), (4, 20, 3), (25, 10000, 4)], 2, 30),
+    ([(2, 18, 3), (19, 109, 4), (110, 704, 5)], 3, 200),
+    ([(110, 704, 4), (2, 50, 3)], 10, 120),
+    ([(2, 10000, 3)], 17, 19),
+    ([(2, 100, 3), (200, 300, 5)], 150, 160),
+])
+def test_verify_golden_runs_equal_a_per_q_lookup(capsys, monkeypatch, ranges, q_min, q_max):
+    monkeypatch.setattr(cli, "_load_golden_ranges", lambda: ranges)
+    golden = {q: c for lo, hi, c in ranges for q in range(lo, hi + 1)}
+    rows = [f"{q},{'' if golden.get(q) is None else golden[q]},{c}"
+            for q, c in ((q, scan_chi(q)) for q in range(q_min, q_max + 1))
+            if c != golden.get(q)]
+    rc, lines = run(capsys, "chi-table", "--q-min", str(q_min), "--q-max", str(q_max),
+                    "--verify-golden")
+    assert rows
+    assert (rc, lines[2:]) == (1, rows + [f"# verified=false mismatches={len(rows)}"])
 
 
 def test_verify_golden_criterion_calls(capsys, monkeypatch):
@@ -628,6 +682,28 @@ def test_out_file(tmp_path, capsys):
     content = target.read_text().splitlines()
     assert content[0] == "# sepsym-table v1"
     assert content[2].startswith("5,3,")
+
+
+def test_parser_is_built_once(capsys, monkeypatch, tmp_path):
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    target = tmp_path / "chi.csv"
+    # a usage error, then good calls: the second with --out, the third without
+    assert cli.main(["chi", "--q"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err
+    rc, lines = run(capsys, "chi", "--q", "5", "--out", str(target))
+    assert (rc, lines) == (0, [])
+    written = target.read_text()
+    rc, lines = run(capsys, "chi", "--q", "5")
+    assert rc == 0
+    assert "\n".join(lines) + "\n" == written
+    assert target.read_text() == written
+    rc, lines = run(capsys, "gamma", "--q", "2", "--n", "2")
+    assert (rc, lines[2]) == (0, "2,2,3,2,2,2,0")
+    assert len(builds) == 1
 
 
 def test_no_command(capsys):
