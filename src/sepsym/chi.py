@@ -51,7 +51,7 @@ import math
 from typing import NamedTuple
 
 from sepsym.errors import ParameterError
-from sepsym.exactcount import least_possible_criterion
+from sepsym.exactcount import certified_least, common_runs, least_possible_criterion
 
 TOL = 1e-9
 _MARGIN = TOL / 4  # each end of a bracket moves this far outward
@@ -95,39 +95,37 @@ class ChiRecord(NamedTuple):
 def _edge(n: int) -> int:
     """Q_n = n! - binom(n, 2), the least q with the criterion at n (n >= 3).
 
-    Checked exactly: the criterion holds at Q_n and fails at Q_n - 1, and for
-    a fixed n it holds for all q from its least one on.
+    Certified exactly (exactcount.certified_least): for a fixed n the
+    criterion holds for all q from its least one on.
     """
-    t = math.factorial(n) - math.comb(n, 2)
-    if not least_possible_criterion(t, n) or least_possible_criterion(t - 1, n):
-        raise RuntimeError(f"chi edge {t} for n={n} is not the least q with the criterion")
-    return t
+    return certified_least(math.factorial(n) - math.comb(n, 2),
+                           lambda q: least_possible_criterion(q, n), f"chi edge Q_{n}")
 
 
 def chi_exact(q: int) -> int:
     """Largest n with q**(n-1) < binom(n+q-1, n): 2 plus the number of edges Q_n <= q.
 
-    The criterion holds at n = 2 for every q >= 2, and Q_3 < Q_4 < ...
+    The chi of the one run of chi_runs(q, q).
     """
-    if q < 2:
-        raise ParameterError(f"q must be >= 2, got {q}")
-    n = 2
-    while _edge(n + 1) <= q:
-        n += 1
-    return n
+    return next(chi_runs(q, q))[2]
 
 
 def chi_runs(q_min: int, q_max: int):
     """(lo, hi, chi) on the maximal runs of [q_min, q_max] where chi is constant.
 
-    Starts at chi_exact(q_min) and steps up by one at each edge, so a run
-    ends one below an edge.
+    The criterion holds at n = 2 for every q >= 2, and Q_3 < Q_4 < ...: chi
+    starts at 2 and steps up by one at each edge, walked from Q_3, so a run
+    ends one below an edge. The edges up to chi(q_max) + 1 are each
+    certified once.
     """
-    c = chi_exact(q_min)
-    lo, edge = q_min, _edge(c + 1)
+    if q_min < 2:
+        raise ParameterError(f"q must be >= 2, got {q_min}")
+    lo, c, edge = q_min, 2, _edge(3)
     while edge <= q_max:
-        yield lo, edge - 1, c
-        lo, c, edge = edge, c + 1, _edge(c + 2)
+        if edge > lo:
+            yield lo, edge - 1, c
+            lo = edge
+        c, edge = c + 1, _edge(c + 2)
     yield lo, q_max, c
 
 
@@ -304,22 +302,18 @@ def _extrapolate(c: int, r1: float, r2: float, r3: float, r4: float):
 def chi_rows(q_min: int, q_max: int):
     """The row (q, chi, x0_lo, x0_hi, x0_is_integer, lnln_floor) of each q in [q_min, q_max].
 
-    Plain tuples in ChiRecord's field order, from one upward sweep: chi and
-    the lower bound come as runs (chi_runs, lnln_runs). From the fifth row
-    on, the cell search starts from the root extrapolated from the last four
-    rows' roots where _extrapolate gives one: the two ends of that cell are
-    probed here, and _search runs only when they do not straddle the sign
-    change. Elsewhere the row starts from the cold secant's estimate.
+    Plain tuples in ChiRecord's field order, from one upward sweep over the
+    common runs of chi and the lower bound (chi_runs, lnln_runs). From the
+    fifth row on, the cell search starts from the root extrapolated from the
+    last four rows' roots where _extrapolate gives one: the two ends of that
+    cell are probed here, and _search runs only when they do not straddle the
+    sign change. Elsewhere the row starts from the cold secant's estimate.
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
-    bounds = lnln_runs(q_min, q_max)
-    _, k_hi, k = next(bounds)
     r1 = r2 = r3 = r4 = None
-    for lo, hi, c in chi_runs(q_min, q_max):
+    for lo, hi, c, k in common_runs(chi_runs(q_min, q_max), lnln_runs(q_min, q_max)):
         for q in range(lo, hi + 1):
-            if q > k_hi:
-                _, k_hi, k = next(bounds)
             gap = _gap(q)
             x_hat = None if r4 is None else _extrapolate(c, r1, r2, r3, r4)
             m = 0 if x_hat is None else int((x_hat - c) * _CELLS)

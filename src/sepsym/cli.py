@@ -58,7 +58,8 @@ class TableWriter:
         self._open, self._sep, self._end = ("", ",", "\n") if fmt == "csv" else ("{", ", ", "}\n")
         if fmt == "csv":
             print(SCHEMA_TAG, file=stream)
-            print(",".join(self.columns), file=stream)
+            if self.columns:
+                print(",".join(self.columns), file=stream)
 
     def _joined(self, batch, keys):
         """Each row of batch as its cells joined by sep; in JSON each cell has its key from keys.
@@ -220,42 +221,24 @@ def _cmd_chi_table(args, stream) -> int:
                 f"the golden table covers q in [{lo_cov}, {hi_cov}]; "
                 f"requested [{q_min}, {q_max}]")
         mismatches = [(lo, hi, expected, actual) for lo, hi, expected, actual
-                      in _common_runs(_golden_runs(ranges, q_min, q_max),
-                                      chi.chi_runs(q_min, q_max))
+                      in exactcount.common_runs(_golden_runs(ranges, q_min, q_max),
+                                                chi.chi_runs(q_min, q_max))
                       if expected != actual]
+        # the mismatched q as rows, or no columns and only the summary
+        writer = TableWriter(stream, args.format,
+                             ("q", "chi_expected", "chi_actual") if mismatches else ())
+        for lo, hi, expected, actual in mismatches:
+            writer.rows(lo, hi, (expected, actual))
         if mismatches:
-            writer = TableWriter(stream, args.format, ("q", "chi_expected", "chi_actual"))
-            writer.table((q, expected, actual) for lo, hi, expected, actual in mismatches
-                         for q in range(lo, hi + 1))
             writer.summary({"verified": False,
                             "mismatches": sum(hi - lo + 1 for lo, hi, _, _ in mismatches)})
             return EXIT_VERIFY_FAILED
-        count = q_max - q_min + 1
-        if args.format == "csv":
-            print(SCHEMA_TAG, file=stream)
-            print(f"# verified=true q_min={q_min} q_max={q_max} count={count}", file=stream)
-        else:
-            print(json.dumps({"verified": True, "q_min": q_min, "q_max": q_max,
-                              "count": count}), file=stream)
+        writer.summary({"verified": True, "q_min": q_min, "q_max": q_max,
+                        "count": q_max - q_min + 1})
         return EXIT_OK
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
     writer.table(chi.chi_rows(q_min, q_max))
     return EXIT_OK
-
-
-def _common_runs(a, b):
-    """(lo, hi, *a_values, *b_values) on the union of the breakpoints of two run lists.
-
-    Each run is (lo, hi, *values), and both lists cover the same range.
-    """
-    x, y = next(a, None), next(b, None)
-    while x and y:
-        lo, hi = max(x[0], y[0]), min(x[1], y[1])
-        yield lo, hi, *x[2:], *y[2:]
-        if x[1] == hi:
-            x = next(a, None)
-        if y[1] == hi:
-            y = next(b, None)
 
 
 def _cmd_delta3(args, stream) -> int:
@@ -265,8 +248,8 @@ def _cmd_delta3(args, stream) -> int:
     writer = TableWriter(stream, args.format, ("n", "delta_exact", "delta_predicted", "kind"))
     counts = {}
     mismatches = 0  # rows written under --verify
-    for lo, hi, exact, kind, predicted in _common_runs(exactcount.defect_runs(3, n_min, n_max),
-                                                       f3.prediction_runs(n_min, n_max)):
+    for lo, hi, exact, kind, predicted in exactcount.common_runs(
+            exactcount.defect_runs(3, n_min, n_max), f3.prediction_runs(n_min, n_max)):
         counts[exact] = counts.get(exact, 0) + hi - lo + 1
         if args.verify and exact == predicted:
             continue

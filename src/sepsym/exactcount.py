@@ -7,6 +7,7 @@ point is used anywhere in this module.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 
@@ -70,12 +71,32 @@ def size_sq(q: int, p: int, n: int) -> int:
     return sum(floor_log(p, n // j) + 1 for j in range(1, min(q, n + 1)) if j % p)
 
 
-def _certified_edge(t: int, q: int, power: int) -> int:
-    """t, after checking that it is the least n with orbit_count(q, n) > power."""
-    if math.comb(t + q - 1, q - 1) <= power or math.comb(t + q - 2, q - 1) > power:
-        raise RuntimeError(f"gamma edge {t} for q={q} is not the least n with more than "
-                           f"{power} orbits")
+def certified_least(t: int, holds, what: str) -> int:
+    """t, after checking that it is the least integer n at which holds(n) is true.
+
+    holds must be nondecreasing in n, so two exact tests certify t: holds(t)
+    is true and holds(t - 1) false. An estimate that fails either raises
+    RuntimeError naming the threshold, what.
+    """
+    if not holds(t) or holds(t - 1):
+        raise RuntimeError(f"{what}: {t} is not the least integer where it holds")
     return t
+
+
+def common_runs(a, b):
+    """(lo, hi, *a_values, *b_values) on the union of the breakpoints of two run lists.
+
+    Each run is (lo, hi, *values), both iterators cover the same range, and
+    the runs come lazily, in order.
+    """
+    x, y = next(a, None), next(b, None)
+    while x and y:
+        lo, hi = max(x[0], y[0]), min(x[1], y[1])
+        yield lo, hi, *x[2:], *y[2:]
+        if x[1] == hi:
+            x = next(a, None)
+        if y[1] == hi:
+            y = next(b, None)
 
 
 def _iroot(m: int, e: int) -> int:
@@ -94,17 +115,15 @@ def _gamma_edge(q: int, power: int) -> int:
     The orbit count is prod_{i<q} (n+i) / (q-1)!, and that product lies
     between (n+1)**(q-1) and (n+q/2)**(q-1), so the edge lies in
     (r - q/2, r] for r = floor(((q-1)! * power) ** (1/(q-1))). The bisection
-    runs on (max(r - q, 0), r], and the end it reaches is certified.
+    runs on (max(r - q, 0), r], and the n it ends at is certified.
     """
+    def count(n):
+        return math.comb(n + q - 1, q - 1)
+
     r = _iroot(math.factorial(q - 1) * power, q - 1)
-    lo, hi = max(r - q, 0), r
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if math.comb(mid + q - 1, q - 1) > power:
-            hi = mid
-        else:
-            lo = mid
-    return _certified_edge(hi, q, power)
+    rest = range(max(r - q, 0) + 1, r + 1)
+    t = rest.start + bisect.bisect_right(rest, power, key=count)
+    return certified_least(t, lambda n: count(n) > power, f"gamma edge for q={q}")
 
 
 def defect_runs(q: int, n_min: int, n_max: int):

@@ -22,8 +22,8 @@ carry the term triples below, and the predicted defect is their sum,
 A range of n is classified as runs, one per window it meets. The four
 window starts of a band r, the least integers n >= b_{2r}, a_{2r+1},
 2*3**r and b_{2r+1}, are computed once with math.isqrt and each is
-confirmed by the exact comparison at t and t - 1; a range is then cut at
-those integers.
+certified by exactcount.certified_least, the exact comparison at t and
+t - 1; a range is then cut at those integers.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from typing import NamedTuple
 
 from sepsym.errors import ParameterError
-from sepsym.exactcount import floor_log
+from sepsym.exactcount import certified_least, floor_log
 
 # kind -> (alpha, beta, delta)
 KIND_TERMS = {
@@ -108,13 +108,6 @@ class F3Class(NamedTuple):
     predicted_delta: int
 
 
-def _certified_start(t: int, cmp, r: int) -> int:
-    """t, after checking that it is the least n with cmp(n, r) >= 0."""
-    if cmp(t, r) < 0 or cmp(t - 1, r) >= 0:
-        raise RuntimeError(f"window start {t} for r={r} is not the least n >= the boundary")
-    return t
-
-
 @functools.cache
 def window_starts(r: int) -> tuple[int, int, int, int, int, int]:
     """(3**r, start of B, C, D, E, 3**(r+1)) for the band 3**r <= n < 3**(r+1), r >= 1.
@@ -131,9 +124,11 @@ def window_starts(r: int) -> tuple[int, int, int, int, int, int]:
     def b_start(s):
         # (2n+3)**2 >= 8*3**s + 1 iff 2n + 3 >= c = ceil(sqrt(8*3**s + 1))
         c = math.isqrt(8 * 3 ** s) + 1
-        return _certified_start((c - 2) // 2, cmp_br, s)
+        return certified_least((c - 2) // 2, lambda n: cmp_br(n, s) >= 0,
+                               f"window start at b_{s}")
 
-    a_start = _certified_start(math.isqrt(3 * power * power - 1) + 1, cmp_ar, 2 * r + 1)
+    a_start = certified_least(math.isqrt(3 * power * power - 1) + 1,
+                              lambda n: cmp_ar(n, 2 * r + 1) >= 0, f"window start at a_{2 * r + 1}")
     return power, b_start(2 * r), a_start, 2 * power, b_start(2 * r + 1), 3 * power
 
 

@@ -52,9 +52,9 @@ def test_edge_certificate_failure_raises(monkeypatch):
                         lambda q, n: q == 109 and n == 5 or criterion(q, n))
     assert chi.chi_exact(17) == 3
     # from q = 18 on, chi_exact and chi_runs read the edge Q_5
-    with pytest.raises(RuntimeError, match="chi edge 110 for n=5"):
+    with pytest.raises(RuntimeError, match="chi edge Q_5: 110"):
         chi.chi_exact(18)
-    with pytest.raises(RuntimeError, match="chi edge 110 for n=5"):
+    with pytest.raises(RuntimeError, match="chi edge Q_5: 110"):
         list(chi.chi_runs(2, 20))
 
 
@@ -254,14 +254,13 @@ def test_sweep_gap_evaluations_per_q(monkeypatch):
 
 @pytest.mark.parametrize("lo, hi", [(2, 10 ** 4), (5001, 10 ** 4), (10 ** 4, 10 ** 4)])
 def test_sweep_criterion_calls(monkeypatch, lo, hi):
-    # two per edge: 2 * chi(lo) to reach chi(lo) and the next edge, two per edge crossed
+    # two per edge, each certified once: the edges Q_3, ..., Q_{chi(hi)+1}
     calls = []
     criterion = chi.least_possible_criterion
     monkeypatch.setattr(chi, "least_possible_criterion",
                         lambda q, n: calls.append((q, n)) or criterion(q, n))
     chi.chi_table(lo, hi)
-    crossed = scan_chi(hi) - scan_chi(lo)
-    assert len(calls) <= 2 * crossed + 2 * scan_chi(lo)
+    assert len(calls) == 2 * (scan_chi(hi) - 1)
 
 
 def _records(lo, hi):

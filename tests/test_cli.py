@@ -305,10 +305,12 @@ def test_chi_table_bytes_equal_per_record_rows(capsys, lo, hi):
 
 
 def test_chi_table_verify_golden_ok(capsys):
-    rc, lines = run(capsys, "chi-table", "--q-min", "2", "--q-max", "120",
-                    "--verify-golden")
-    assert rc == 0
-    assert any("verified=true" in line for line in lines)
+    want = {"csv": f"{cli.SCHEMA_TAG}\n# verified=true q_min=2 q_max=120 count=119\n",
+            "json": '{"verified": true, "q_min": 2, "q_max": 120, "count": 119}\n'}
+    for fmt, text in want.items():
+        rc = cli.main(["chi-table", "--q-min", "2", "--q-max", "120", "--verify-golden",
+                       "--format", fmt])
+        assert (rc, capsys.readouterr().out) == (0, text)
 
 
 def test_chi_table_verify_golden_coverage(capsys):
@@ -349,15 +351,15 @@ def test_verify_golden_runs_equal_a_per_q_lookup(capsys, monkeypatch, ranges, q_
 
 
 def test_verify_golden_criterion_calls(capsys, monkeypatch):
-    # chi(2) = 2 and 5 edges crossed up to 10^4: at most 2 * 5 + 2 * 2 exact criterion tests
+    # chi(10^4) = 7: two exact criterion tests for each of the edges Q_3, ..., Q_8
     calls = []
     criterion = chi.least_possible_criterion
     monkeypatch.setattr(chi, "least_possible_criterion",
                         lambda q, n: calls.append((q, n)) or criterion(q, n))
     rc, lines = run(capsys, "chi-table", "--q-min", "2", "--q-max", "10000", "--verify-golden")
     assert (rc, lines[-1]) == (0, "# verified=true q_min=2 q_max=10000 count=9999")
-    assert len(calls) <= 2 * 5 + 2 * 2
-    assert chi.chi_exact(10 ** 4) - chi.chi_exact(2) == 5
+    assert len(calls) == 2 * (7 - 1)
+    assert chi.chi_exact(10 ** 4) == 7
 
 
 def test_chi_table_range_validation(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from bisect import bisect_right
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepsym import exactcount
+from sepsym import chi, exactcount, f3
 from sepsym.errors import ParameterError
 from sepsym.esym import index_set_nq
 from sepsym.exactcount import (
+    certified_least,
     defect_runs,
     delta3,
     floor_log,
@@ -290,19 +292,35 @@ def test_negative_defect_is_refused(monkeypatch):
         list(defect_runs(3, 100, 200))
 
 
+# (threshold, its nondecreasing predicate, the least integer the code finds for it)
+@pytest.mark.parametrize("what, holds, found", [
+    pytest.param("chi edge Q_5", lambda q: least_possible_criterion(q, 5),
+                 lambda: chi._edge(5), id="chi-edge"),
+    pytest.param("gamma edge for q=3", lambda n: orbit_count(3, n) > 3 ** 7,
+                 lambda: exactcount._gamma_edge(3, 3 ** 7), id="gamma-edge-3"),
+    pytest.param("gamma edge for q=16", lambda n: orbit_count(16, n) > 16 ** 7,
+                 lambda: exactcount._gamma_edge(16, 16 ** 7), id="gamma-edge-16"),
+    pytest.param("window start at b_6", lambda n: f3.cmp_br(n, 6) >= 0,
+                 lambda: f3.window_starts(3)[1], id="window-b6"),
+    pytest.param("window start at a_7", lambda n: f3.cmp_ar(n, 7) >= 0,
+                 lambda: f3.window_starts(3)[2], id="window-a7"),
+    pytest.param("window start at b_7", lambda n: f3.cmp_br(n, 7) >= 0,
+                 lambda: f3.window_starts(3)[4], id="window-b7"),
+])
+def test_certified_least(what, holds, found):
+    t = next(n for n in itertools.count(2) if holds(n))
+    assert found() == t
+    assert certified_least(t, holds, what) == t
+    for wrong in (t - 1, t + 1):
+        with pytest.raises(RuntimeError, match=f"^{what}: {wrong} is not the least"):
+            certified_least(wrong, holds, what)
+
+
 def test_uncertified_gamma_edge_is_refused(monkeypatch):
-    for q in (3, 16):
-        power = q ** 7
-        t = next(n for n in range(1, 10 ** 6) if orbit_count(q, n) > power)
-        assert exactcount._certified_edge(t, q, power) == t
-        for wrong in (t - 1, t + 1):
-            with pytest.raises(RuntimeError):
-                exactcount._certified_edge(wrong, q, power)
-        assert exactcount._gamma_edge(q, power) == t
     # every edge found is certified: a root bracket that misses the edge
     # ends the bisection at a wrong n, and is refused
     monkeypatch.setattr(exactcount, "_iroot", lambda m, e: m)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="gamma edge for q=3"):
         exactcount._gamma_edge(3, 3 ** 7)
 
 

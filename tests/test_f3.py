@@ -267,11 +267,3 @@ def test_window_starts_are_certified_and_ordered():
         assert power <= a <= b <= c <= d <= e < end
     with pytest.raises(ParameterError):
         f3.window_starts(0)
-
-
-def test_uncertified_window_start_is_refused():
-    t = f3.window_starts(3)[2]  # the least n with n*n >= 3^7
-    assert f3._certified_start(t, f3.cmp_ar, 7) == t
-    for wrong in (t - 1, t + 1):
-        with pytest.raises(RuntimeError):
-            f3._certified_start(wrong, f3.cmp_ar, 7)
