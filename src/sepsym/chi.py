@@ -30,7 +30,8 @@ can carry a wrong sign; the signs along the grid still change exactly once,
 and that change is the cell both bisection and the two probes find.
 
 A margin, not the width, certifies the bracket: each end of the cell moves
-TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error.
+TOL/4 outward, where |gap| >= 9e-11 >> its 1e-14 error. The argument is made
+for q <= MAX_CHI_Q < 2**53, and chi_rows, behind every bracket, refuses more.
 
 chi_rows sweeps q upward in one loop. chi and floor(ln ln q) come as runs
 (chi_runs steps chi up by one at each edge; lnln_runs finds each step of
@@ -45,7 +46,6 @@ every row equals chi_record's.
 
 from __future__ import annotations
 
-import bisect
 import decimal
 import math
 from typing import NamedTuple
@@ -53,6 +53,9 @@ from typing import NamedTuple
 from sepsym.errors import ParameterError
 from sepsym.exactcount import certified_least, common_runs, least_possible_criterion
 
+# chi_rows' q: below 2^53, so q is exact as a float, and the x0 bracket is
+# checked against mpmath up to here
+MAX_CHI_Q = 10 ** 15
 TOL = 1e-9
 _MARGIN = TOL / 4  # each end of a bracket moves this far outward
 _NEAR_INT_BAND = 1e-9
@@ -269,13 +272,16 @@ def lnln_floor(q: int) -> int:
 def lnln_runs(q_min: int, q_max: int):
     """(lo, hi, k) on the maximal runs of [q_min, q_max] where lnln_floor is k.
 
-    Each run's end is found by bisection with lnln_floor itself as the key,
-    never from a float e**(e**k): a run costs about log2(q_max - lo) calls.
+    Each run's end is found by bisection on the integers with lnln_floor
+    itself as the key, never from a float e**(e**k): a run costs about
+    log2(q_max - lo) calls, for a range of any length.
     """
     lo = q_min
     while lo <= q_max:
-        k, rest = lnln_floor(lo), range(lo, q_max + 1)
-        hi = rest[bisect.bisect_right(rest, k, key=lnln_floor) - 1]
+        k, hi, top = lnln_floor(lo), lo, q_max  # the run ends in [hi, top]
+        while hi < top:
+            mid = (hi + top + 1) // 2
+            hi, top = (hi, mid - 1) if lnln_floor(mid) > k else (mid, top)
         yield lo, hi, k
         lo = hi + 1
 
@@ -311,6 +317,8 @@ def chi_rows(q_min: int, q_max: int):
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
+    if q_max > MAX_CHI_Q:
+        raise ParameterError(f"q above the supported cap {MAX_CHI_Q}")
     r1 = r2 = r3 = r4 = None
     for lo, hi, c, k in common_runs(chi_runs(q_min, q_max), lnln_runs(q_min, q_max)):
         for q in range(lo, hi + 1):

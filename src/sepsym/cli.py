@@ -20,14 +20,12 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from sepsym import chi, esym, exactcount, f3, gf, separating
+from sepsym.chi import MAX_CHI_Q  # noqa: F401 (the cap of chi --q is the library's)
 from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 from sepsym.orbits import enumerate_orbits
 
 SCHEMA_TAG = "# sepsym-table v1"
 MAX_TABLE_Q = 10 ** 6
-# chi for one q: below 2^53, so q is exact as a float, and the x0 bracket is
-# checked against mpmath up to here
-MAX_CHI_Q = 10 ** 15
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -196,8 +194,6 @@ def _cmd_gamma(args, stream) -> int:
 
 
 def _cmd_chi(args, stream) -> int:
-    if args.q > MAX_CHI_Q:
-        raise ParameterError(f"q above the supported cap {MAX_CHI_Q}")
     rec = chi.chi_record(args.q)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
     writer.row(rec)

@@ -22,12 +22,13 @@ multiplies s_t by lambda**t. Two distinct orbits that collide on T share
 s_t0 = c, and when c != 0 some lambda moves c into R, keeping the pair
 distinct and colliding. So T separates iff no two orbits with s_t0 in S =
 {0} + R collide, and the orbits, and the fingerprints, number their count
-at s_t0 = 0 plus h times their count at s_t0 in R. check_separating walks
-only that slice and checks the orbit count it rebuilds against
-binom(n+q-1, q-1). At level n a part has at most |S| children in it, x =
-(c - s_t0) / s_{t0-1} >= a, or all or none if s_{t0-1} = 0, solved for all
-parts at once. For g = 1 the slice is s_t0 in {0, 1}; for h = 1 (q = 2, T
-empty, or (q - 1) | t0) it is every orbit, and the walk keeps every row.
+at s_t0 = 0 plus h times their count at s_t0 in R. The walk only streams
+the slice's fingerprints, whose first entry is s_t0; check_separating
+rebuilds both counts from them by that rule and checks the orbit count
+against binom(n+q-1, q-1). At level n a part has at most |S| children in
+it, x = (c - s_t0) / s_{t0-1} >= a, or all or none if s_{t0-1} = 0, solved
+for all parts at once. For g = 1 the slice is s_t0 in {0, 1}; for h = 1
+(q = 2, T empty, or (q - 1) | t0) it is every orbit, kept whole.
 
 A negative verdict's witness, the first collision in lexicographic order,
 comes from a walk over every orbit, paired with enumerate_orbits to name
@@ -64,29 +65,21 @@ class SeparationVerdict(NamedTuple):
     fingerprint_count: int
 
 
-def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=(), tally=None
+def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
                    ) -> Iterator[Iterable[tuple[int, ...]]]:
     """Stream the fingerprints (s_t for t in idx) of the orbits with s_t0 in cs, t0 = idx[0].
 
-    tally counts the orbits streamed, [0] with s_t0 = 0 and [1] the others;
-    without cs every orbit is streamed, and counted in [1], in lexicographic
-    order: each level below n, then level n by parts. The orbit bound is
-    enumerate_orbits'.
+    Without cs, every orbit in lexicographic order: each level below n, then
+    level n by parts. The caller counts; the orbit bound is enumerate_orbits'.
     """
     enumerate_orbits(spec, n)  # checks n and the orbit bound
     q, t0 = spec.q, idx[0] if cs else 0
-    tally = [0, 0] if tally is None else tally
     in_s = frozenset(cs).__contains__
 
-    def keep(rows, k):  # the rows of level k with s_t0 in cs, counted by s_t0 = 0 or not
-        if not cs:
-            tally[1] += len(rows)
+    def keep(rows, k):  # the rows of level k with s_t0 in cs; for t0 > k, s_t0 = 0 is in cs
+        if not cs or t0 > k:
             return rows
-        col = list(map(itemgetter(t0 - 1), rows)) if t0 <= k else [0] * len(rows)
-        rows = list(itertools.compress(rows, map(in_s, col)))
-        zeros = col.count(0)
-        tally[0], tally[1] = tally[0] + zeros, tally[1] + len(rows) - zeros
-        return rows
+        return list(itertools.compress(rows, map(in_s, map(itemgetter(t0 - 1), rows))))
     if n == 1:  # no product: s_1 is the orbit itself, and the tables stay unbuilt
         yield [v * len(idx) for v in keep([(x,) for x in range(q)], 1)]
         return
@@ -114,7 +107,6 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=(), tally=N
             del built[0]  # the zero orbit: its nonzero part is level 0's
         level = built
     if not cs:  # every child of every part
-        tally[1] += sum(q - a for a, _ in level)
         yield from (batch((1, *r, 0), a, idx) for a, r in level)
         return
     # the rest of level n by columns: cols[t] holds s_t of every part, and a
@@ -124,7 +116,6 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=(), tally=N
     d, e = cols[t0 - 1], cols[t0]
     for (a, r), ei in itertools.compress(zip(level, e), map(not_, d)):  # s'_t0 = e on all
         if in_s(ei):
-            tally[ei != 0] += q - a
             yield batch((1, *r, 0), a, idx)
     if t0 > 1:  # the rows of 1/d, 1/0 read as 0
         exp, log = spec.logs
@@ -137,7 +128,6 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=(), tally=N
         xs = list(map(getitem, over, ce) if t0 > 1 else ce)
         mask = list(map(ge, xs, heads))
         mx = list(map(mul_t.__getitem__, itertools.compress(xs, mask)))
-        tally[c != 0] += len(mx)
         s = {t: list(itertools.compress(cols[t], mask)) for t in {*idx, *[t - 1 for t in idx]}}
         yield zip(*[map(getitem, map(add_t.__getitem__, s[t]), map(getitem, mx, s[t - 1]))
                     for t in idx])
@@ -174,25 +164,27 @@ def _value_rows(spec: FieldSpec, n: int) -> tuple:
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
     """Test injectivity of the fingerprint map over every orbit representative.
 
-    The verdict and both counts come from the slice (see the module
-    docstring). The witness, present iff the verdict is negative, is the
-    first collision met while scanning representatives in lexicographic
-    order: the earliest representative carrying the same fingerprint,
-    paired with the current one.
+    The verdict and both counts come from the fingerprints of the slice (see
+    the module docstring), by one rule. The witness, present iff the verdict
+    is negative, is the first collision met while scanning representatives
+    in lexicographic order: the earliest representative carrying the same
+    fingerprint, paired with the current one.
     """
     idx = normalize_indices(indices, n)
     enumerate_orbits(spec, n)  # checks n and the orbit bound before any table or log is built
     q, t0 = spec.q, idx[0] if idx else 0
     g = math.gcd(t0, q - 1)
-    h, tally = (q - 1) // g, [0, 0]
+    h = (q - 1) // g
     # every orbit if H = {1}; R = {gen**j : j < g}, which is {1}, with no logs, if g = 1
     cs = () if h == 1 else (0, 1) if g == 1 else (0, *spec.logs[0][:g])
-    seen = set(itertools.chain.from_iterable(_orbit_batches(spec, n, idx, cs, tally)))
-    total = tally[0] + h * tally[1]
+
+    def rebuilt(fps):  # s_t0 = 0 stands for one orbit, a unit s_t0 for h; T may be empty if h = 1
+        zero = list(map(itemgetter(0), fps)).count(0) if h > 1 else 0
+        return zero + h * (len(fps) - zero)
+    fps = list(itertools.chain.from_iterable(_orbit_batches(spec, n, idx, cs)))
+    total, count = rebuilt(fps), rebuilt(set(fps))
     if total != orbit_count(q, n):
         raise RuntimeError(f"the slice rebuilds {total} orbits, not {orbit_count(q, n)}")
-    zero = list(map(itemgetter(0), seen)).count(0) if cs else 0
-    count = zero + h * (len(seen) - zero)
     witness = None if count == total else _first_collision(spec, n, idx)
     return SeparationVerdict(separating=witness is None, witness=witness,
                              orbit_count=total, fingerprint_count=count)

@@ -104,13 +104,19 @@ def test_criterion_04_root_brackets(acceptance_log, full_chi_records):
 
 def test_criterion_05_lower_bounds(acceptance_log, full_chi_records):
     bad = [rec.q for rec in full_chi_records if rec.chi < rec.lower_bound]
+    # over [2, 10^100] on the common runs of chi and the bound: both are exact
+    # step functions, so one comparison per run decides every q in it
+    runs = list(exactcount.common_runs(chi.chi_runs(2, 10 ** 100), chi.lnln_runs(2, 10 ** 100)))
+    bad_runs = [(lo, hi) for lo, hi, c, k in runs if c < k]
     grid = [chi.EE2 * (1e8 / chi.EE2) ** (i / 99) for i in range(100)]
     positivity = chi.technical_inequality_check(grid)
-    ok = not bad and all(positivity)
+    ok = not bad and not bad_runs and all(positivity)
     acceptance_log(f"criterion 5 {_verdict(ok)}: chi dominates floor(ln ln q) "
-                   f"on [2, 10^4] and the threshold expression is positive at "
+                   f"on [2, 10^4] and on all {len(runs)} common runs over [2, 10^100], "
+                   f"and the threshold expression is positive at "
                    f"{sum(positivity)}/100 grid points")
     assert bad == []
+    assert bad_runs == []
     assert all(positivity)
 
 

@@ -320,6 +320,17 @@ def test_chi_table_validation():
         chi.chi_table(1, 5)
 
 
+@pytest.mark.parametrize("call, args", [(chi.chi_record, (10 ** 15 + 1,)),
+                                         (chi.x0_bracket, (10 ** 400,)),
+                                         (chi.chi_table, (2, 10 ** 16))],
+                         ids=["chi_record", "x0_bracket", "chi_table"])
+def test_chi_q_cap_is_the_library_s(call, args):
+    # the bracket's error argument is made only below 2^53
+    assert chi.MAX_CHI_Q == 10 ** 15 < 2 ** 53
+    with pytest.raises(ParameterError, match="^q above the supported cap 1000000000000000$"):
+        call(*args)
+
+
 def test_record_fields_consistent():
     rec = chi.chi_record(18)
     assert rec.q == 18
@@ -376,6 +387,17 @@ def test_lnln_floor_at_the_fourth_step_through_chi_record():
     assert want == [2, 2, 3, 3, 3]
     assert [chi.chi_record(q).lower_bound for q in range(edge - 2, edge + 3)] == want
     assert [rec.lower_bound for rec in chi.chi_table(edge - 2, edge + 2)] == want
+
+
+def test_lnln_runs_up_to_a_googol():
+    # bisected on integers, not on a range, whose length must fit in a C ssize_t;
+    # each run starts at ceil(e^(e^k)), from mpmath at 200 digits
+    runs = list(chi.lnln_runs(2, 10 ** 100))
+    with mpmath.workdps(200):
+        steps = [int(mpmath.ceil(mpmath.e ** mpmath.e ** k)) for k in range(6)]
+    assert [lo for lo, _, _ in runs] == [2, *steps]
+    assert [k for _, _, k in runs] == list(range(-1, 6))
+    assert [hi for _, hi, _ in runs] == [*[q - 1 for q in steps], 10 ** 100]
 
 
 @pytest.mark.parametrize("q", [10 ** 15, 528491311, 528491312])

@@ -324,3 +324,17 @@ def test_slice_orbit_count_is_checked(monkeypatch, T):
     monkeypatch.setattr(separating, "orbit_count", lambda q, n: math.comb(n + q - 1, q - 1) + 1)
     with pytest.raises(RuntimeError, match="the slice rebuilds 84 orbits"):
         check_separating(gf.field_for_order(4), 6, T)
+
+
+@pytest.mark.parametrize("edit, total", [(lambda fps: fps[:-1], 81),
+                                         (lambda fps: fps + fps[-1:], 87)],
+                         ids=["drop_last", "repeat_last"])
+def test_slice_counts_are_rebuilt_from_the_stream(monkeypatch, edit, total):
+    # both counts come from the fingerprints the walk yields, so a walk that
+    # drops or repeats one fails the orbit-count check; the last one of the
+    # slice has s_1 != 0 and stands for h = 3 orbits
+    walk = separating._orbit_batches
+    monkeypatch.setattr(separating, "_orbit_batches",
+                        lambda *args: [edit(list(itertools.chain.from_iterable(walk(*args))))])
+    with pytest.raises(RuntimeError, match=f"the slice rebuilds {total} orbits, not 84"):
+        check_separating(gf.field_for_order(4), 6, (1, 2, 3, 4, 6))
