@@ -32,10 +32,13 @@ for all parts at once. For g = 1 the slice is s_t0 in {0, 1}; for h = 1
 
 A negative verdict's witness, the first collision in lexicographic order,
 comes from a walk over every orbit, paired with enumerate_orbits to name
-them. check_minimal and min_separating_size hold one value tuple per orbit;
-every index set they try is a projection of those rows, scanned only up to
-its first collision. The last such walk is kept, so that minsep, which asks
-both questions of one field and n, walks once.
+them. check_minimal and min_separating_size hold one value tuple per orbit
+and cut from those rows, once per t0, the rows of t0's slice, whose orbit
+count is checked by the same rule. By the argument above, each index set T
+they try is decided on the slice of min T alone (every row if T is empty),
+projected to T and scanned only up to the first collision. The last walk
+is kept with its slices, so that minsep, which asks both questions of one
+field and n, walks once.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def _projector(idx: tuple[int, ...]):
     return itemgetter(*[t - 1 for t in idx])
 
 
-def _separates(rows: tuple, project) -> bool:
+def _separates(rows: Iterable, project) -> bool:
     """Whether project gives every row its own fingerprint; stops at the first collision."""
     seen = set()
     for fp in map(project, rows):
@@ -150,15 +153,69 @@ def _separates(rows: tuple, project) -> bool:
     return True
 
 
+def _slice_set(spec: FieldSpec, t0: int) -> tuple[tuple[int, ...], int]:
+    """(cs, h): the values of s_t0 in the slice of min T = t0 (see the module docstring), and h.
+
+    cs is () for every orbit, when H = {1}: t0 = 0 (T empty), q = 2 or (q - 1) | t0;
+    R = {gen**j : j < g} is {1}, with no logs, when g = 1.
+    """
+    g = math.gcd(t0, spec.q - 1)
+    h = (spec.q - 1) // g
+    return () if h == 1 else (0, 1) if g == 1 else (0, *spec.logs[0][:g]), h
+
+
+def _rebuilt(fps, h: int, col: int = 0) -> int:
+    """The orbits that the slice's rows fps stand for, s_t0 being each row's entry col.
+
+    s_t0 = 0 stands for one orbit, a unit s_t0 for h; with h = 1 the rows may be empty tuples.
+    """
+    zero = list(map(itemgetter(col), fps)).count(0) if h > 1 else 0
+    return zero + h * (len(fps) - zero)
+
+
+def _orbit_total(spec: FieldSpec, n: int, fps, h: int, col: int = 0) -> int:
+    """_rebuilt(fps, h, col), which must be binom(n+q-1, q-1), else RuntimeError."""
+    total = _rebuilt(fps, h, col)
+    if total != orbit_count(spec.q, n):
+        raise RuntimeError(f"the slice rebuilds {total} orbits, not {orbit_count(spec.q, n)}")
+    return total
+
+
+class _Walk(tuple):
+    """The value rows of one walk; slices maps t0 to the rows of its slice, once cut."""
+
+    def __init__(self, rows):
+        self.slices = {}
+
+
 @lru_cache(maxsize=1)
-def _value_rows(spec: FieldSpec, n: int) -> tuple:
+def _value_rows(spec: FieldSpec, n: int) -> _Walk:
     """The value vectors (s_1, ..., s_n) of every orbit, in walk order.
 
-    The last result is kept, immutable, until a call for another field or
-    n: minsep asks min_separating_size and check_minimal about the same
-    field and n, and so walks once.
+    The last result is kept, immutable, with its slices, until a call for
+    another field or n: minsep asks min_separating_size and check_minimal
+    about the same field and n, and so walks once. Each candidate is
+    scanned on its slice only (_slice_rows), not on every row.
     """
-    return tuple(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)))))
+    return _Walk(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)))))
+
+
+def _slice_rows(spec: FieldSpec, n: int, t0: int):
+    """The rows of _value_rows(spec, n) in the slice of min T = t0, cut once per walk."""
+    rows = _value_rows(spec, n)
+    if t0 in rows.slices:
+        return rows.slices[t0]
+    cs, h = _slice_set(spec, t0)
+    cut = list(itertools.compress(rows, map(frozenset(cs).__contains__,
+                                            map(itemgetter(t0 - 1), rows)))) if cs else rows
+    _orbit_total(spec, n, cut, h, t0 - 1)
+    rows.slices[t0] = cut
+    return cut
+
+
+def _separates_on_slice(spec: FieldSpec, n: int, T: tuple[int, ...]) -> bool:
+    """Whether the sorted set T separates, scanned on its slice's rows; t0 = 0 if T is empty."""
+    return _separates(_slice_rows(spec, n, T[0] if T else 0), _projector(T))
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
@@ -172,19 +229,9 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> Separat
     """
     idx = normalize_indices(indices, n)
     enumerate_orbits(spec, n)  # checks n and the orbit bound before any table or log is built
-    q, t0 = spec.q, idx[0] if idx else 0
-    g = math.gcd(t0, q - 1)
-    h = (q - 1) // g
-    # every orbit if H = {1}; R = {gen**j : j < g}, which is {1}, with no logs, if g = 1
-    cs = () if h == 1 else (0, 1) if g == 1 else (0, *spec.logs[0][:g])
-
-    def rebuilt(fps):  # s_t0 = 0 stands for one orbit, a unit s_t0 for h; T may be empty if h = 1
-        zero = list(map(itemgetter(0), fps)).count(0) if h > 1 else 0
-        return zero + h * (len(fps) - zero)
+    cs, h = _slice_set(spec, idx[0] if idx else 0)
     fps = list(itertools.chain.from_iterable(_orbit_batches(spec, n, idx, cs)))
-    total, count = rebuilt(fps), rebuilt(set(fps))
-    if total != orbit_count(q, n):
-        raise RuntimeError(f"the slice rebuilds {total} orbits, not {orbit_count(q, n)}")
+    total, count = _orbit_total(spec, n, fps, h), _rebuilt(set(fps), h)
     witness = None if count == total else _first_collision(spec, n, idx)
     return SeparationVerdict(separating=witness is None, witness=witness,
                              orbit_count=total, fingerprint_count=count)
@@ -211,11 +258,10 @@ def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int]):
     index whose removal leaves the set separating is reported as redundant.
     """
     idx = normalize_indices(indices, n)
-    rows = _value_rows(spec, n)
-    if not _separates(rows, _projector(idx)):
+    if not _separates_on_slice(spec, n, idx):
         raise NotSeparatingError("minimality is defined only for separating sets")
-    redundant = [t for t in idx
-                 if _separates(rows, _projector(tuple(u for u in idx if u != t)))]
+    # idx without t starts at idx[0], or at idx[1] when t = idx[0]
+    redundant = [t for t in idx if _separates_on_slice(spec, n, tuple(u for u in idx if u != t))]
     return (not redundant, redundant)
 
 
@@ -232,9 +278,8 @@ def min_separating_size(spec: FieldSpec, n: int):
     if n > MAX_SUBSET_SEARCH_N:
         raise ScaleError(
             f"subset search over {{1..{n}}} exceeds the bound n <= {MAX_SUBSET_SEARCH_N}")
-    rows = _value_rows(spec, n)
     for k in range(gamma(spec.q, n), n + 1):
         for T in itertools.combinations(range(1, n + 1), k):
-            if _separates(rows, _projector(T)):
+            if _separates_on_slice(spec, n, T):
                 return k, T
     raise RuntimeError("no separating subset found, though the full set always separates")

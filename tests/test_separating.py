@@ -13,6 +13,9 @@ from sepsym.exactcount import gamma, orbit_count
 from sepsym.orbits import enumerate_orbits
 from sepsym.separating import (
     SeparationVerdict,
+    _projector,
+    _separates_on_slice,
+    _slice_rows,
     _value_rows,
     check_minimal,
     check_separating,
@@ -338,3 +341,93 @@ def test_slice_counts_are_rebuilt_from_the_stream(monkeypatch, edit, total):
                         lambda *args: [edit(list(itertools.chain.from_iterable(walk(*args))))])
     with pytest.raises(RuntimeError, match=f"the slice rebuilds {total} orbits, not 84"):
         check_separating(gf.field_for_order(4), 6, (1, 2, 3, 4, 6))
+
+
+def test_slice_verdicts_match_every_row_on_the_grid():
+    # every nonempty T of every small grid cell: g = 1, g > 1 (q = 7 with t0 = 2
+    # or 3, q = 9 with t0 = 2 or 4) and h = 1 (q = 2, q = 3 with t0 even)
+    for q, n in [(q, n) for q, n in GRID_CELLS if n <= 6 and orbit_count(q, n) <= 2000]:
+        spec = gf.field_for_order(q)
+        values = [v for _, v in naive_rows(spec, n)]
+        for k in range(1, n + 1):
+            for T in itertools.combinations(range(1, n + 1), k):
+                assert _separates_on_slice(spec, n, T) == \
+                    separating._separates(values, _projector(T)), (q, n, T)
+
+
+LARGER_SLICE_CELLS = [(q, n) for q in TABLE_ORDERS for n in range(7, 12)
+                      if orbit_count(q, n) <= 2000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LARGER_SLICE_CELLS), st.randoms(use_true_random=False))
+def test_slice_verdicts_match_every_row_on_larger_cells(cell, rng):
+    q, n = cell
+    spec = gf.field_for_order(q)
+    T = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    values = [v for _, v in naive_rows(spec, n)]
+    assert _separates_on_slice(spec, n, T) == separating._separates(values, _projector(T))
+
+
+def test_candidates_scan_only_their_slice(monkeypatch):
+    scanned = []
+    scan = separating._separates
+    monkeypatch.setattr(separating, "_separates",
+                        lambda rows, project: scanned.append(len(rows)) or scan(rows, project))
+    F16 = gf.field_for_order(16)
+    # gamma = 3: (1, 2, 3), (1, 2, 4) and (1, 3, 4) on the 516 rows of t0 = 1
+    # of 3876 orbits, (2, 3, 4) on the 502 of t0 = 2, then (1, 2, 3, 4)
+    assert min_separating_size(F16, 4) == (4, (1, 2, 3, 4))
+    assert scanned == [516, 516, 516, 502, 516]
+    scanned.clear()
+    assert check_minimal(F16, 4, (1, 2, 3, 4)) == (True, [])
+    assert scanned == [516, 502, 516, 516, 516]
+    scanned.clear()
+    # (2, 3, 4, 5) over F_7: g = gcd(2, 6) = 2, 196 rows of 462 orbits
+    assert check_minimal(gf.field_for_order(7), 5, (1, 2, 3, 4, 5)) == (False, [5])
+    assert scanned == [132, 196, 132, 132, 132, 132]
+    for q, n in ((16, 4), (7, 5)):
+        spec = gf.field_for_order(q)
+        for t0 in range(n + 1):
+            h = (q - 1) // math.gcd(t0, q - 1)
+            rows = _slice_rows(spec, n, t0)
+            zero = sum(row[t0 - 1] == 0 for row in rows) if h > 1 else 0
+            assert zero + h * (len(rows) - zero) == orbit_count(q, n)
+
+
+def _minsep(q, n):
+    spec = gf.field_for_order(q)
+    return min_separating_size(spec, n), check_minimal(spec, n, index_set_nq(n, q, spec.p))
+
+
+def test_slices_follow_the_walk():
+    # the slices of each cell come from its own walk, also when the walk of
+    # another cell was freed in between and a new one may take its address
+    cells = [(7, 5), (8, 6), (7, 5), (8, 5), (16, 4), (7, 5),
+             *[(q, n) for q in (3, 4, 5, 7, 8, 9) for n in range(2, 6)]]
+    got = [_minsep(q, n) for q, n in cells]
+    want = []
+    for q, n in cells:
+        _value_rows.cache_clear()
+        want.append(_minsep(q, n))
+    assert got == want
+
+
+@pytest.fixture
+def fresh_walk():
+    _value_rows.cache_clear()
+    yield
+    _value_rows.cache_clear()
+
+
+@pytest.mark.parametrize("search", [lambda F: min_separating_size(F, 6),
+                                    lambda F: check_minimal(F, 6, (1, 2, 3, 4, 6))],
+                         ids=["min_separating_size", "check_minimal"])
+def test_slice_rows_are_checked_against_the_orbit_count(monkeypatch, fresh_walk, search):
+    # a walk that drops its last orbit, (3, 3, 3, 3, 3, 3) with s_1 = 0, leaves
+    # the slice of t0 = 1 one orbit short
+    walk = separating._orbit_batches
+    monkeypatch.setattr(separating, "_orbit_batches",
+                        lambda *args: [list(itertools.chain.from_iterable(walk(*args)))[:-1]])
+    with pytest.raises(RuntimeError, match="the slice rebuilds 83 orbits, not 84"):
+        search(gf.field_for_order(4))
