@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from sepsym.errors import ParameterError
-from sepsym.gf import FieldSpec, is_prime, prime_power
+from sepsym.gf import FieldSpec, prime_power
 
 
 def esym_all(v: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
@@ -62,7 +62,7 @@ def index_set_nq(n: int, q: int, p: int) -> tuple[int, ...]:
         raise ParameterError(f"n must be >= 1, got {n}")
     pk = prime_power(q)
     if pk is None or pk[0] != p:  # pk[0] is prime, so a p that is not lands here
-        if not is_prime(p):
+        if prime_power(p) != (p, 1):
             raise ParameterError(f"p must be prime, got {p}")
         raise ParameterError(f"q = {q} is not a power of p = {p}")
     vals = set()

@@ -18,12 +18,16 @@ Finite Fields), sums digit by digit from the table of F_p.
 
 Rows, and the discrete logs, are lists up to q = TABLE_MAX_ORDER and
 array('H') above it; the two tables of F_1024 take about 4.4 MB.
+
+prime_power is the one prime-power and primality decision, cached so that a
+command factors q once; an order above MAX_ORDER is refused before that.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cached_property, lru_cache, partial
+from math import isqrt
 from operator import itemgetter
 
 from sepsym.errors import ParameterError, ScaleError
@@ -36,31 +40,13 @@ MAX_ORDER = 1024
 TABLE_MAX_ORDER = 256
 
 
-def is_prime(m: int) -> bool:
-    """Primality by trial division, adequate for the orders in scope."""
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
-
-
+@lru_cache(maxsize=256)
 def prime_power(q: int):
-    """Return (p, k) with q == p**k and p prime, or None if q is not a prime power."""
+    """(p, k) with q == p**k and p prime, or None; p is prime iff prime_power(p) == (p, 1)."""
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return (q, 1)
-    k = 0
-    m = q
+    p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)  # least prime factor
+    k, m = 0, q
     while m % p == 0:
         m //= p
         k += 1
@@ -229,21 +215,26 @@ def make_field(p: int, k: int) -> FieldSpec:
     """Construct F_{p^k} with the lexicographically smallest monic irreducible modulus.
 
     Repeated calls with the same (p, k) return the same cached, immutable
-    instance. Raises ParameterError for non-prime p or k < 1 and ScaleError
-    when p**k exceeds MAX_ORDER.
+    instance. Checked in order: ParameterError for p < 2 or k < 1, ScaleError
+    when p**k exceeds MAX_ORDER (not computed when 2**k does), and only then
+    is p factored, ParameterError if it is not prime.
     """
-    if not is_prime(p):
+    if p < 2:
         raise ParameterError(f"p must be prime, got {p}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if p ** k > MAX_ORDER:
-        raise ScaleError(f"field order {p ** k} exceeds the bound {MAX_ORDER}")
+    if k >= MAX_ORDER.bit_length() or p ** k > MAX_ORDER:
+        raise ScaleError(f"field order {p}^{k} exceeds the bound {MAX_ORDER}")
+    if prime_power(p) != (p, 1):
+        raise ParameterError(f"p must be prime, got {p}")
     return _build_field(p, k)
 
 
 def field_for_order(q: int) -> FieldSpec:
-    """make_field for a prime power given as a single order q."""
+    """make_field for a prime power given as a single order q, bounded before it is factored."""
+    if q > MAX_ORDER:
+        raise ScaleError(f"field order {q} exceeds the bound {MAX_ORDER}")
     pk = prime_power(q)
     if pk is None:
         raise ParameterError(f"{q} is not a prime power")
-    return make_field(pk[0], pk[1])
+    return _build_field(*pk)

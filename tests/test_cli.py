@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sepsym
-from sepsym import chi, cli, f3, separating
+from sepsym import chi, cli, f3, gf, separating
 from sepsym.errors import NotSeparatingError, ParameterError
 from sepsym.exactcount import delta3
 from support import naive_defect, scan_chi
@@ -615,6 +615,24 @@ def test_check_sep_usage(capsys):
     assert rc == 2
     rc, _ = run(capsys, "check-sep", "--q", "6", "--n", "3", "--T", "1")
     assert rc == 2
+
+
+def test_a_command_factors_q_once(capsys):
+    # gamma asks again through size_sq, check-sep --preset sq through
+    # index_set_nq: both repeats are cache hits
+    for argv in (("gamma", "--q", "1000003", "--n", "3"),
+                 ("check-sep", "--q", "1024", "--n", "2", "--preset", "sq")):
+        gf.prime_power.cache_clear()
+        assert run(capsys, *argv)[0] == 0
+        assert gf.prime_power.cache_info().misses == 1
+
+
+def test_check_sep_refuses_a_large_order_unfactored(capsys, monkeypatch):
+    monkeypatch.setattr(gf, "prime_power", lambda q: pytest.fail(f"prime_power({q}) called"))
+    rc = cli.main(["check-sep", "--q", str(10 ** 15 + 37), "--n", "2", "--preset", "sq"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == "error: field order 1000000000000037 exceeds the bound 1024\n"
 
 
 def test_minsep(capsys):

@@ -116,7 +116,9 @@ def test_validation():
         fingerprint((0, 1), (3,), F3)
     with pytest.raises(ParameterError):
         index_set_nq(10, 6, 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^p must be prime, got 4$"):
+        index_set_nq(5, 9, 4)
+    with pytest.raises(ParameterError, match="^q = 8 is not a power of p = 3$"):
         index_set_nq(10, 8, 3)
     with pytest.raises(ParameterError):
         index_set_nq(0, 2, 2)

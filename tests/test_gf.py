@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from sympy import factorint
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
 
@@ -32,6 +33,12 @@ def test_prime_power_decomposition():
     assert gf.prime_power(6) is None
     assert gf.prime_power(12) is None
     assert gf.prime_power(1) is None
+    for q in range(-3, 3000):
+        factors = factorint(q) if q >= 2 else {}
+        want = next(iter(factors.items())) if len(factors) == 1 else None
+        assert gf.prime_power(q) == want
+    assert gf.prime_power(1009 ** 3) == (1009, 3)
+    assert gf.prime_power(2 * 1000003) is None
 
 
 def test_make_field_examples():
@@ -52,6 +59,26 @@ def test_field_for_order_rejects_non_prime_powers():
     for q in (1, 6, 10, 12, 100):
         with pytest.raises(ParameterError):
             gf.field_for_order(q)
+
+
+def test_make_field_large_k_is_a_scale_error():
+    # 2**(10**5) has more digits than int-to-text converts: the bound refuses it unbuilt
+    with pytest.raises(ScaleError, match="exceeds the bound 1024"):
+        gf.make_field(2, 10 ** 5)
+
+
+def test_order_bound_is_checked_before_factoring(monkeypatch):
+    monkeypatch.setattr(gf, "prime_power", lambda q: pytest.fail(f"prime_power({q}) called"))
+    with pytest.raises(ScaleError, match="field order 1000000000000037 exceeds"):
+        gf.field_for_order(10 ** 15 + 37)
+    for p, k in ((10 ** 15 + 37, 1), (4, 6), (2000, 1)):
+        with pytest.raises(ScaleError):
+            gf.make_field(p, k)
+    with pytest.raises(ScaleError):  # not a prime power, but above the bound first
+        gf.field_for_order(2000)
+    for p, k in ((1, 3), (0, 1), (2, 0)):
+        with pytest.raises(ParameterError):
+            gf.make_field(p, k)
 
 
 def test_make_field_deterministic():
