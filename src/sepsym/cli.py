@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success or a verified property, 1 on a verification
 failure (non-separating set, golden/table mismatch), 2 on usage or
-parameter errors, 3 when reading or writing a file fails. When the reader
+parameter errors, 3 when reading or writing a file fails, 4 when an
+internal check fails (a RuntimeError: a bug, not a verdict). When the reader
 of standard output closes it early (``sepsym orbits ... | head``) the
 command stops without a message and exits 141, the status a shell reports
 for a process stopped by SIGPIPE.
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 EXIT_PIPE_CLOSED = 128 + 13  # 128 + SIGPIPE, as a shell reports it
 ROWS_PER_WRITE = 1024  # by TableWriter.rows, so a long run never builds one long string
 
@@ -418,6 +420,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except RuntimeError as exc:  # after ScaleError, which is one
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

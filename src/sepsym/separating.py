@@ -30,15 +30,17 @@ it, x = (c - s_t0) / s_{t0-1} >= a, or all or none if s_{t0-1} = 0, solved
 for all parts at once. For g = 1 the slice is s_t0 in {0, 1}; for h = 1
 (q = 2, T empty, or (q - 1) | t0) it is every orbit, kept whole.
 
-A negative verdict's witness, the first collision in lexicographic order,
-comes from a walk over every orbit, paired with enumerate_orbits to name
-them. check_minimal and min_separating_size hold one value tuple per orbit
-and cut from those rows, once per t0, the rows of t0's slice, whose orbit
-count is checked by the same rule. By the argument above, each index set T
-they try is decided on the slice of min T alone (every row if T is empty),
-projected to T and scanned only up to the first collision. The last walk
-is kept with its slices, so that minsep, which asks both questions of one
-field and n, walks once.
+check_separating counts the stream in chunks, holding only the distinct
+fingerprints. A negative verdict's witness, the first collision in
+lexicographic order, comes from a walk over every orbit, paired with
+enumerate_orbits to name them; a negative count without one is a
+RuntimeError. By the argument above, each index set T that check_minimal
+and min_separating_size try is decided on the slice of min T alone (every
+row if T is empty), projected to T and scanned only up to the first
+collision. Their rows come from one kept walk, _slices, of one value tuple
+per orbit; each slice is cut from it once by _cut, as the walk cuts its
+levels below n, and checked by the same rule. minsep asks both questions
+of one field and n, and so walks once.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import ge, getitem, itemgetter, not_
 from typing import Iterable, Iterator, NamedTuple
 
-from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
+from sepsym.errors import NotSeparatingError, ScaleError
 # esym_all is not called here, but stays importable from this module: the
 # benchmark's layer tracer patches names where they are looked up.
 from sepsym.esym import esym_all, normalize_indices  # noqa: F401
@@ -77,14 +79,8 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
     """
     enumerate_orbits(spec, n)  # checks n and the orbit bound
     q, t0 = spec.q, idx[0] if cs else 0
-    in_s = frozenset(cs).__contains__
-
-    def keep(rows, k):  # the rows of level k with s_t0 in cs; for t0 > k, s_t0 = 0 is in cs
-        if not cs or t0 > k:
-            return rows
-        return list(itertools.compress(rows, map(in_s, map(itemgetter(t0 - 1), rows))))
     if n == 1:  # no product: s_1 is the orbit itself, and the tables stay unbuilt
-        yield [v * len(idx) for v in keep([(x,) for x in range(q)], 1)]
+        yield [v * len(idx) for v in _cut([(x,) for x in range(q)], cs, 0)]
         return
     add_t, mul_t = spec.tables
     get = [row.__getitem__ for row in add_t]
@@ -105,7 +101,9 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         built = []
         for a, r in level:
             built += zip(range(a, q), batch((1, *r, 0), a, range(1, k + 1)))
-        yield [project(v) + pad for v in keep(list(map(itemgetter(1), built)), k)]
+        # for t0 > k, s_t0 = 0 is in cs
+        yield [project(v) + pad for v in _cut(list(map(itemgetter(1), built)),
+                                              cs if t0 <= k else (), t0 - 1)]
         if k == 1:
             del built[0]  # the zero orbit: its nonzero part is level 0's
         level = built
@@ -117,6 +115,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
     heads = [a for a, _ in level]
     cols = [[1] * len(level), *zip(*[r for _, r in level]), [0] * len(level)]
     d, e = cols[t0 - 1], cols[t0]
+    in_s = frozenset(cs).__contains__
     for (a, r), ei in itertools.compress(zip(level, e), map(not_, d)):  # s'_t0 = e on all
         if in_s(ei):
             yield batch((1, *r, 0), a, idx)
@@ -134,6 +133,12 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         s = {t: list(itertools.compress(cols[t], mask)) for t in {*idx, *[t - 1 for t in idx]}}
         yield zip(*[map(getitem, map(add_t.__getitem__, s[t]), map(getitem, mx, s[t - 1]))
                     for t in idx])
+
+
+def _cut(rows, cs, col: int):
+    """The rows whose entry col, s_t0, lies in cs; rows itself when cs is empty."""
+    in_cs = frozenset(cs).__contains__
+    return list(itertools.compress(rows, map(in_cs, map(itemgetter(col), rows)))) if cs else rows
 
 
 def _projector(idx: tuple[int, ...]):
@@ -173,49 +178,34 @@ def _rebuilt(fps, h: int, col: int = 0) -> int:
     return zero + h * (len(fps) - zero)
 
 
-def _orbit_total(spec: FieldSpec, n: int, fps, h: int, col: int = 0) -> int:
-    """_rebuilt(fps, h, col), which must be binom(n+q-1, q-1), else RuntimeError."""
-    total = _rebuilt(fps, h, col)
+def _orbit_total(spec: FieldSpec, n: int, total: int) -> int:
+    """total, the orbits rebuilt from a slice; RuntimeError unless it is binom(n+q-1, q-1)."""
     if total != orbit_count(spec.q, n):
         raise RuntimeError(f"the slice rebuilds {total} orbits, not {orbit_count(spec.q, n)}")
     return total
 
 
-class _Walk(tuple):
-    """The value rows of one walk; slices maps t0 to the rows of its slice, once cut."""
-
-    def __init__(self, rows):
-        self.slices = {}
-
-
 @lru_cache(maxsize=1)
-def _value_rows(spec: FieldSpec, n: int) -> _Walk:
-    """The value vectors (s_1, ..., s_n) of every orbit, in walk order.
+def _slices(spec: FieldSpec, n: int):
+    """t0 -> the value vectors (s_1, ..., s_n) of the slice of min T = t0; 0: of every orbit.
 
-    The last result is kept, immutable, with its slices, until a call for
-    another field or n: minsep asks min_separating_size and check_minimal
-    about the same field and n, and so walks once. Each candidate is
-    scanned on its slice only (_slice_rows), not on every row.
+    One walk, in walk order, kept with the slices cut from it (each once, and
+    checked to rebuild the orbit count) until a call for another field or n.
     """
-    return _Walk(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)))))
+    rows = tuple(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)))))
 
-
-def _slice_rows(spec: FieldSpec, n: int, t0: int):
-    """The rows of _value_rows(spec, n) in the slice of min T = t0, cut once per walk."""
-    rows = _value_rows(spec, n)
-    if t0 in rows.slices:
-        return rows.slices[t0]
-    cs, h = _slice_set(spec, t0)
-    cut = list(itertools.compress(rows, map(frozenset(cs).__contains__,
-                                            map(itemgetter(t0 - 1), rows)))) if cs else rows
-    _orbit_total(spec, n, cut, h, t0 - 1)
-    rows.slices[t0] = cut
-    return cut
+    @cache
+    def slice_rows(t0: int):
+        cs, h = _slice_set(spec, t0)
+        cut = _cut(rows, cs, t0 - 1)
+        _orbit_total(spec, n, _rebuilt(cut, h, t0 - 1))
+        return cut
+    return slice_rows
 
 
 def _separates_on_slice(spec: FieldSpec, n: int, T: tuple[int, ...]) -> bool:
     """Whether the sorted set T separates, scanned on its slice's rows; t0 = 0 if T is empty."""
-    return _separates(_slice_rows(spec, n, T[0] if T else 0), _projector(T))
+    return _separates(_slices(spec, n)(T[0] if T else 0), _projector(T))
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
@@ -230,9 +220,15 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> Separat
     idx = normalize_indices(indices, n)
     enumerate_orbits(spec, n)  # checks n and the orbit bound before any table or log is built
     cs, h = _slice_set(spec, idx[0] if idx else 0)
-    fps = list(itertools.chain.from_iterable(_orbit_batches(spec, n, idx, cs)))
-    total, count = _orbit_total(spec, n, fps, h), _rebuilt(set(fps), h)
+    fps = itertools.chain.from_iterable(_orbit_batches(spec, n, idx, cs))
+    total, seen = 0, set()
+    for chunk in iter(lambda: list(itertools.islice(fps, 4096)), []):  # no list of every fp
+        total += _rebuilt(chunk, h)
+        seen.update(chunk)
+    total, count = _orbit_total(spec, n, total), _rebuilt(seen, h)
     witness = None if count == total else _first_collision(spec, n, idx)
+    if count != total and witness is None:
+        raise RuntimeError(f"{count} fingerprints for {total} orbits, but no collision found")
     return SeparationVerdict(separating=witness is None, witness=witness,
                              orbit_count=total, fingerprint_count=count)
 
@@ -273,8 +269,6 @@ def min_separating_size(spec: FieldSpec, n: int):
     orbits. Within a size, subsets are tried in lexicographic order and the
     first success is returned.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
     if n > MAX_SUBSET_SEARCH_N:
         raise ScaleError(
             f"subset search over {{1..{n}}} exceeds the bound n <= {MAX_SUBSET_SEARCH_N}")

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -675,10 +676,30 @@ def test_minsep_walks_once(capsys, monkeypatch):
         return walk(*args)
 
     monkeypatch.setattr(separating, "_orbit_batches", counted)
-    separating._value_rows.cache_clear()
+    separating._slices.cache_clear()
     rc, lines = run(capsys, "minsep", "--q", "8", "--n", "5")
     assert (rc, lines[2]) == (0, "8,5,4,4,true,1|2|3|4,5,5")
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("drop_last", "the slice rebuilds 81 orbits, not 84"),
+    ("no_witness", "32 fingerprints for 84 orbits, but no collision found"),
+], ids=["drop_last", "no_witness"])
+def test_an_internal_fault_exits_4(capsys, monkeypatch, fault, message):
+    # a failed internal check is a bug: neither a failed verification (1) nor
+    # a usage error (2)
+    if fault == "drop_last":
+        walk = separating._orbit_batches
+        monkeypatch.setattr(separating, "_orbit_batches",
+                            lambda *args: [list(itertools.chain.from_iterable(walk(*args)))[:-1]])
+    else:
+        monkeypatch.setattr(separating, "_first_collision", lambda *args: None)
+    rc = cli.main(["check-sep", "--q", "4", "--n", "6", "--T", "1,2,3"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (cli.EXIT_INTERNAL, "")
+    assert cli.EXIT_INTERNAL == 4
+    assert captured.err == f"error: internal: {message}\n"
 
 
 def test_orbits(capsys):

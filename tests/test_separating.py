@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,7 @@ from sepsym.separating import (
     SeparationVerdict,
     _projector,
     _separates_on_slice,
-    _slice_rows,
-    _value_rows,
+    _slices,
     check_minimal,
     check_separating,
     min_separating_size,
@@ -193,7 +193,7 @@ def test_orbit_rows_match_esym_all(cell):
     q, n = cell
     spec = gf.field_for_order(q)
     want = [(rep, esym_all(rep, spec)) for rep in enumerate_orbits(spec, n)]
-    assert list(zip(enumerate_orbits(spec, n), _value_rows(spec, n), strict=True)) == want
+    assert list(zip(enumerate_orbits(spec, n), _slices(spec, n)(0), strict=True)) == want
 
 
 @pytest.mark.parametrize("q,n", ORACLE_CELLS)
@@ -343,6 +343,36 @@ def test_slice_counts_are_rebuilt_from_the_stream(monkeypatch, edit, total):
         check_separating(gf.field_for_order(4), 6, (1, 2, 3, 4, 6))
 
 
+def test_the_stream_is_counted_in_chunks(monkeypatch):
+    # 10**6 references to one fingerprint, on a slice of every orbit (h = 1):
+    # the counts hold one chunk and the distinct fingerprints, not a list of
+    # every reference (about 8 MiB)
+    spec = gf.field_for_order(4)
+    monkeypatch.setattr(separating, "_orbit_batches",
+                        lambda *args: [itertools.repeat((0, 0), 10 ** 6)])
+    monkeypatch.setattr(separating, "orbit_count", lambda q, n: 10 ** 6)
+    monkeypatch.setattr(separating, "_first_collision", lambda *args: ("a", "b"))
+    tracemalloc.start()
+    try:
+        verdict = check_separating(spec, 6, (3, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == SeparationVerdict(False, ("a", "b"), 10 ** 6, 1)
+    assert peak < 2 ** 20
+
+
+def test_a_negative_count_comes_with_a_witness(monkeypatch):
+    # the counts say (1, 2, 3) does not separate over F_4 at n = 6; a witness
+    # walk that finds no collision contradicts them
+    monkeypatch.setattr(separating, "_first_collision", lambda *args: None)
+    F4 = gf.field_for_order(4)
+    with pytest.raises(RuntimeError,
+                       match="^32 fingerprints for 84 orbits, but no collision found$"):
+        check_separating(F4, 6, (1, 2, 3))
+    assert check_separating(F4, 6, (1, 2, 3, 4, 6)) == SeparationVerdict(True, None, 84, 84)
+
+
 def test_slice_verdicts_match_every_row_on_the_grid():
     # every nonempty T of every small grid cell: g = 1, g > 1 (q = 7 with t0 = 2
     # or 3, q = 9 with t0 = 2 or 4) and h = 1 (q = 2, q = 3 with t0 even)
@@ -390,7 +420,7 @@ def test_candidates_scan_only_their_slice(monkeypatch):
         spec = gf.field_for_order(q)
         for t0 in range(n + 1):
             h = (q - 1) // math.gcd(t0, q - 1)
-            rows = _slice_rows(spec, n, t0)
+            rows = _slices(spec, n)(t0)
             zero = sum(row[t0 - 1] == 0 for row in rows) if h > 1 else 0
             assert zero + h * (len(rows) - zero) == orbit_count(q, n)
 
@@ -408,16 +438,16 @@ def test_slices_follow_the_walk():
     got = [_minsep(q, n) for q, n in cells]
     want = []
     for q, n in cells:
-        _value_rows.cache_clear()
+        _slices.cache_clear()
         want.append(_minsep(q, n))
     assert got == want
 
 
 @pytest.fixture
 def fresh_walk():
-    _value_rows.cache_clear()
+    _slices.cache_clear()
     yield
-    _value_rows.cache_clear()
+    _slices.cache_clear()
 
 
 @pytest.mark.parametrize("search", [lambda F: min_separating_size(F, 6),
