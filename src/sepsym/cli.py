@@ -7,6 +7,7 @@ internal check fails (a RuntimeError: a bug, not a verdict). When the reader
 of standard output closes it early (``sepsym orbits ... | head``) the
 command stops without a message and exits 141, the status a shell reports
 for a process stopped by SIGPIPE.
+Each command imports the sepsym modules it uses when it runs, and no other command's.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import sys
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
-from sepsym import chi, esym, exactcount, f3, gf, separating
-from sepsym.chi import MAX_CHI_Q  # noqa: F401 (the cap of chi --q is the library's)
+from sepsym import gf
 from sepsym.errors import NotSeparatingError, ParameterError, ScaleError
 from sepsym.orbits import enumerate_orbits
 
@@ -172,6 +172,7 @@ CHI_COLUMNS = ("q", "chi", "x0_lo", "x0_hi", "x0_is_integer", "lnln_floor")
 
 
 def _cmd_gamma(args, stream) -> int:
+    from sepsym import exactcount
     q, n = args.q, args.n
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
     # binom(N, m) >= (N/m)**m for N = n+q-1, m = min(n, q-1): a count with more than
@@ -196,6 +197,7 @@ def _cmd_gamma(args, stream) -> int:
 
 
 def _cmd_chi(args, stream) -> int:
+    from sepsym import chi
     rec = chi.chi_record(args.q)
     writer = TableWriter(stream, args.format, CHI_COLUMNS)
     writer.row(rec)
@@ -203,6 +205,7 @@ def _cmd_chi(args, stream) -> int:
 
 
 def _cmd_chi_table(args, stream) -> int:
+    from sepsym import chi, exactcount
     q_min, q_max = args.q_min, args.q_max
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q-min <= q-max, got [{q_min}, {q_max}]")
@@ -240,6 +243,7 @@ def _cmd_chi_table(args, stream) -> int:
 
 
 def _cmd_delta3(args, stream) -> int:
+    from sepsym import exactcount, f3
     n_min, n_max = args.n_min, args.n_max
     if n_min < 2 or n_min > n_max:
         raise ParameterError(f"require 2 <= n-min <= n-max, got [{n_min}, {n_max}]")
@@ -262,6 +266,7 @@ def _cmd_delta3(args, stream) -> int:
 
 
 def _cmd_classify3(args, stream) -> int:
+    from sepsym import f3
     n_min, n_max = args.n_min, args.n_max
     if n_min > n_max:
         raise ParameterError(f"require n-min <= n-max, got [{n_min}, {n_max}]")
@@ -274,6 +279,7 @@ def _cmd_classify3(args, stream) -> int:
 
 
 def _select_indices(args, field, n):
+    from sepsym import esym
     if args.preset == "sq":
         return esym.index_set_nq(n, field.q, field.p)
     if args.preset == "full":
@@ -285,6 +291,7 @@ def _select_indices(args, field, n):
 
 
 def _cmd_check_sep(args, stream) -> int:
+    from sepsym import separating
     field = gf.field_for_order(args.q)
     n = args.n
     indices = _select_indices(args, field, n)
@@ -300,6 +307,7 @@ def _cmd_check_sep(args, stream) -> int:
 
 
 def _cmd_minsep(args, stream) -> int:
+    from sepsym import esym, exactcount, separating
     field = gf.field_for_order(args.q)
     n = args.n
     size, witness = separating.min_separating_size(field, n)

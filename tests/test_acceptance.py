@@ -267,6 +267,17 @@ def test_findings_survey(acceptance_log, full_chi_records):
     nondecreasing = all(a <= b for a, b in zip(chis, chis[1:]))
     acceptance_log(f"finding: chi is nondecreasing over q in [2, 10^4]: "
                    f"{nondecreasing}")
+    # over [2, 10^100], chi decided apart from chi_runs' edges at both ends of
+    # each of its runs: the criterion holds at c and fails at c + 1 exactly
+    # when chi(q) = c, since it holds at n exactly for the integers n < x_0
+    runs = list(chi.chi_runs(2, 10 ** 100))
+    ends = all(exactcount.least_possible_criterion(q, c)
+               and not exactcount.least_possible_criterion(q, c + 1)
+               for lo, hi, c in runs for q in (lo, hi))
+    by_one = all(b[2] == a[2] + 1 for a, b in zip(runs, runs[1:]))
+    acceptance_log(f"finding: over q in [2, 10^100], the criterion gives chi at both ends "
+                   f"of each of chi_runs' {len(runs)} runs as that run's chi, one more "
+                   f"than the previous run's: {ends and by_one}")
     integer_qs = [rec.q for rec in full_chi_records if rec.x0_is_integer]
     acceptance_log(f"finding: integer roots detected at q in {integer_qs}")
     non_minimal = []

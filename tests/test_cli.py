@@ -143,6 +143,66 @@ def test_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def _sepsym_modules(code):
+    """The sepsym modules a fresh interpreter has loaded after running code."""
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'sepsym'))"
+    return subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_import_loads_only_the_modules_read():
+    # the benchmark's set-up probe: a public name loads its module on first read
+    code = "import sepsym; from sepsym import gf; gf.field_for_order(256)"
+    assert _sepsym_modules(code) == ["sepsym", "sepsym.errors", "sepsym.gf"]
+
+
+_CLI = ["sepsym", "sepsym.cli", "sepsym.errors", "sepsym.gf", "sepsym.orbits"]
+_COUNTS = ["sepsym.esym", "sepsym.exactcount"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["gamma", "--q", "7", "--n", "3"], _COUNTS),
+    (["gamma", "--q", "7"], []),  # a usage error
+    (["chi", "--q", "1000"], [*_COUNTS, "sepsym.chi"]),
+    (["chi-table", "--q-min", "2", "--q-max", "20"], [*_COUNTS, "sepsym.chi"]),
+    (["chi-table", "--q-min", "2", "--q-max", "20", "--verify-golden"],
+     [*_COUNTS, "sepsym.chi"]),
+    (["delta3", "--n-min", "2", "--n-max", "20", "--verify"], [*_COUNTS, "sepsym.f3"]),
+    (["classify3", "--n-min", "9", "--n-max", "20"], [*_COUNTS, "sepsym.f3"]),
+    (["check-sep", "--q", "5", "--n", "3", "--preset", "sq"], [*_COUNTS, "sepsym.separating"]),
+    (["check-sep", "--q", "4", "--n", "3", "--T", "1,2"], [*_COUNTS, "sepsym.separating"]),
+    (["minsep", "--q", "4", "--n", "3"], [*_COUNTS, "sepsym.separating"]),
+    (["orbits", "--q", "3", "--n", "2"], []),
+])
+def test_each_command_loads_only_its_modules(argv, extra):
+    # through the entry point of python -m sepsym, which exits with the status
+    code = (f"import contextlib, io, runpy, sys\nsys.argv[1:] = {argv!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    runpy.run_module('sepsym', run_name='__main__')")
+    assert _sepsym_modules(code) == sorted(_CLI + extra)
+
+
+def test_public_names_are_their_home_modules_objects():
+    for name, home in sepsym._HOME.items():
+        value = getattr(sepsym, name)
+        assert value.__module__ == f"sepsym.{home}"
+        assert value is getattr(sys.modules[value.__module__], name)
+
+
+def test_lazy_namespace_lists_binds_and_refuses_names():
+    assert set(sepsym.__all__) <= set(dir(sepsym))
+    namespace = {}
+    exec("from sepsym import *", namespace)
+    assert {name: namespace[name] for name in sepsym.__all__} == \
+        {name: getattr(sepsym, name) for name in sepsym.__all__}
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        sepsym.nope
+    # a submodule after a bare import
+    code = "import sepsym; sepsym.gf.field_for_order, sepsym.separating.check_separating"
+    assert {"sepsym.gf", "sepsym.separating"} <= set(_sepsym_modules(code))
+
+
 def test_gamma_csv(capsys):
     rc, lines = run(capsys, "gamma", "--q", "3", "--n", "5")
     assert rc == 0
@@ -262,11 +322,11 @@ def test_chi_json(capsys):
 
 
 def test_chi_q_cap(capsys):
-    assert cli.MAX_CHI_Q == 10 ** 15
-    rc, lines = run(capsys, "chi", "--q", str(cli.MAX_CHI_Q))
+    assert chi.MAX_CHI_Q == 10 ** 15
+    rc, lines = run(capsys, "chi", "--q", str(chi.MAX_CHI_Q))
     assert rc == 0
-    assert lines[2].startswith(f"{cli.MAX_CHI_Q},17,")
-    rc, lines = run(capsys, "chi", "--q", str(cli.MAX_CHI_Q + 1))
+    assert lines[2].startswith(f"{chi.MAX_CHI_Q},17,")
+    rc, lines = run(capsys, "chi", "--q", str(chi.MAX_CHI_Q + 1))
     assert rc == 2
     assert lines == []
 
