@@ -351,8 +351,3 @@ def technical_expression(q: float) -> float:
     a = math.log(q)
     b = math.log(a)
     return a - (2.0 * b + 1.0) * math.log(b)
-
-
-def technical_inequality_check(q_grid) -> list[bool]:
-    """Positivity of technical_expression at each grid point."""
-    return [technical_expression(q) > 0.0 for q in q_grid]

@@ -155,15 +155,10 @@ def window_runs(n_min: int, n_max: int):
     return _window_runs(n_min, n_max)
 
 
-def classify3_range(n_min: int, n_max: int):
-    """F3Class of each n = n_min, ..., n_max >= 9, in order; an empty range yields nothing."""
-    return (F3Class(m, r, kind, *KIND_TERMS[kind], PREDICTED[kind])
-            for lo, hi, r, kind in window_runs(n_min, n_max) for m in range(lo, hi + 1))
-
-
 def classify3(n: int) -> F3Class:
     """Locate n >= 9 in the five-window partition and read off the defect terms."""
-    return next(classify3_range(n, n))
+    _, _, r, kind = next(window_runs(n, n))
+    return F3Class(n, r, kind, *KIND_TERMS[kind], PREDICTED[kind])
 
 
 def prediction_runs(n_min: int, n_max: int):

@@ -16,8 +16,9 @@ n = 1 never build them. Products and inverses come from the discrete logs
 of one generator g of the units (FieldSpec.logs; Lidl & Niederreiter,
 Finite Fields), sums digit by digit from the table of F_p.
 
-Rows, and the discrete logs, are lists up to q = TABLE_MAX_ORDER and
-array('H') above it; the two tables of F_1024 take about 4.4 MB.
+Rows are lists up to q = TABLE_MAX_ORDER and array('H') above it; the two
+tables of F_1024 take about 4.4 MB. The discrete logs are lists at every
+order.
 
 prime_power is the one prime-power and primality decision, cached so that a
 command factors q once; an order above MAX_ORDER is refused before that.
@@ -119,15 +120,6 @@ class FieldSpec:
         if not 0 <= a < self.q:
             raise ParameterError(f"element index {a} outside [0, {self.q})")
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector (c_0, ..., c_{k-1}) of the element with index a."""
-        self._check(a)
-        return tuple(_digits(a, self.p, self.k))
-
-    def elements(self) -> list[int]:
-        """All q element indices in canonical order 0, 1, ..., q-1."""
-        return list(range(self.q))
-
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
@@ -137,14 +129,6 @@ class FieldSpec:
         self._check(a)
         self._check(b)
         return self.tables[1][a][b]
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse, g^(-log a), from the discrete logs."""
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        exp, log = self.logs
-        return exp[-log[a] % (self.q - 1)]
 
     @cached_property
     def tables(self):
@@ -192,8 +176,6 @@ class FieldSpec:
         log = [0] * q
         for i, x in enumerate(exp):
             log[x] = i
-        if q > TABLE_MAX_ORDER:  # kept for the life of the field, like the table rows
-            exp, log = array("H", exp), array("H", log)
         return exp, log
 
     def _mul_poly(self, a: int, b: int) -> int:

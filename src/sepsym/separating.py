@@ -61,6 +61,9 @@ from sepsym.gf import FieldSpec
 from sepsym.orbits import enumerate_orbits
 
 MAX_SUBSET_SEARCH_N = 16
+# Fingerprint entries (orbits x indices) one walk may hold: the distinct
+# fingerprints of check_separating, or the value vectors of _slices.
+MAX_STORE_CELLS = 16_000_000
 
 
 class SeparationVerdict(NamedTuple):
@@ -68,6 +71,15 @@ class SeparationVerdict(NamedTuple):
     witness: tuple | None
     orbit_count: int
     fingerprint_count: int
+
+
+def _check_store(spec: FieldSpec, n: int, width: int) -> None:
+    """Check n and the orbit bound, then that orbits x width fingerprint entries fit the store."""
+    enumerate_orbits(spec, n)
+    total = orbit_count(spec.q, n)
+    if total * width > MAX_STORE_CELLS:
+        raise ScaleError(f"{total} orbits x {width} indices exceed the fingerprint store "
+                         f"bound of {MAX_STORE_CELLS} entries")
 
 
 def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
@@ -192,6 +204,7 @@ def _slices(spec: FieldSpec, n: int):
     One walk, in walk order, kept with the slices cut from it (each once, and
     checked to rebuild the orbit count) until a call for another field or n.
     """
+    _check_store(spec, n, n)
     rows = tuple(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)))))
 
     @cache
@@ -218,7 +231,7 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> Separat
     fingerprint, paired with the current one.
     """
     idx = normalize_indices(indices, n)
-    enumerate_orbits(spec, n)  # checks n and the orbit bound before any table or log is built
+    _check_store(spec, n, len(idx))  # before any table or log is built
     cs, h = _slice_set(spec, idx[0] if idx else 0)
     fps = itertools.chain.from_iterable(_orbit_batches(spec, n, idx, cs))
     total, seen = 0, set()

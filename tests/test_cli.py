@@ -623,6 +623,7 @@ def test_classify3_usage(capsys):
     ("classify3", "--n-min", "12", "--n-max", "9"),
     ("orbits", "--q", "3", "--n", "0"),
     ("chi", "--q", "1"),
+    ("check-sep", "--q", "2", "--n", "100000", "--preset", "full"),  # past the store bound
 ])
 def test_usage_error_prints_no_table(capsys, tmp_path, argv):
     rc, lines = run(capsys, *argv)

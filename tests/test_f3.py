@@ -213,13 +213,14 @@ def _assert_sweeps_match(lo, hi):
                          for n in ns]
     if hi >= 9:
         lo9 = max(lo, 9)
-        assert list(f3.classify3_range(lo9, hi)) == [tuple(f3.classify3(n))
-                                                     for n in range(lo9, hi + 1)]
-        # the window runs are the prediction runs from 9 on, with the band r
+        # classify3 per n is the expansion of the window runs, with the band r
         windows = list(f3.window_runs(lo9, hi))
+        assert [tuple(f3.classify3(n)) for n in range(lo9, hi + 1)] == [
+            (n, r, kind, *f3.KIND_TERMS[kind], f3.PREDICTED[kind])
+            for a, b, r, kind in windows for n in range(a, b + 1)]
+        # the window runs are the prediction runs from 9 on
         assert [(a, b, kind, f3.PREDICTED[kind]) for a, b, _, kind in windows] == list(
             f3.prediction_runs(lo9, hi))
-        assert all(f3.classify3(a).r == r == f3.classify3(b).r for a, b, r, _ in windows)
 
 
 def test_sweeps_across_every_window_edge_up_to_r_60():
@@ -246,12 +247,9 @@ def test_range_validation_and_empty_ranges():
     with pytest.raises(ParameterError):
         f3.prediction_runs(1, 5)
     with pytest.raises(ParameterError):
-        f3.classify3_range(8, 20)
-    with pytest.raises(ParameterError):
         f3.window_runs(8, 20)
     assert list(defect_runs(3, 10, 9)) == []
     assert list(f3.prediction_runs(10, 9)) == []
-    assert list(f3.classify3_range(10, 9)) == []
     assert list(f3.window_runs(10, 9)) == []
 
 

@@ -157,6 +157,8 @@ def test_scale_and_parameter_errors():
     F9 = gf.field_for_order(9)
     with pytest.raises(ScaleError):
         check_separating(F9, 30, (1,))  # binom(38, 8) > 10^7 orbits
+    with pytest.raises(ScaleError, match="100001 orbits x 100000 indices exceed"):
+        check_separating(F2, 100_000, range(1, 100_001))  # 10^5 orbits, 10^10 entries
 
 
 def test_exhaustive_small_subsets_q2_n4():
@@ -184,6 +186,26 @@ def test_walks_without_products_leave_tables_unbuilt():
     assert "tables" not in vars(spec)
     assert "logs" not in vars(spec)
     assert esym_all((5, 7), spec) == (spec.add(5, 7), spec.mul(5, 7))
+    assert "tables" in vars(spec)
+
+
+@pytest.mark.parametrize("search, cells", [
+    (lambda F: check_separating(F, 6, (2, 3, 4)), 84 * 3),
+    (lambda F: min_separating_size(F, 6), 84 * 6),
+    (lambda F: check_minimal(F, 6, (1, 2, 3, 4, 6)), 84 * 6),
+], ids=["check_separating", "min_separating_size", "check_minimal"])
+def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search, cells):
+    # (4, 6) has 84 orbits; the walk of check_minimal and min_separating_size
+    # keeps all n = 6 values of each. One entry under orbits x |T| is refused
+    # before a fresh instance builds its tables or logs; at the bound it runs.
+    spec = gf.FieldSpec(2, 2, gf.field_for_order(4).modulus)
+    monkeypatch.setattr(separating, "MAX_STORE_CELLS", cells - 1)
+    with pytest.raises(ScaleError, match=f"84 orbits x {cells // 84} indices exceed the "
+                                         f"fingerprint store bound of {cells - 1} entries"):
+        search(spec)
+    assert "tables" not in vars(spec) and "logs" not in vars(spec)
+    monkeypatch.setattr(separating, "MAX_STORE_CELLS", cells)
+    search(spec)
     assert "tables" in vars(spec)
 
 
