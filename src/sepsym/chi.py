@@ -35,13 +35,12 @@ for q <= MAX_CHI_Q < 2**53, and chi_rows, behind every bracket, refuses more.
 
 chi_rows sweeps q upward in one loop. chi and floor(ln ln q) come as runs
 (chi_runs steps chi up by one at each edge; lnln_runs finds each step of
-the lower bound by bisection on lnln_floor). From the fifth row on each
-cell search starts, with no secant, from the cubic extrapolation of the
-last four roots (each interpolated between its cell's two probes); the
-first rows start from a secant at (chi, chi+1). chi_table builds its
-records from those rows, and chi_record(q) is the one-row table, so it
-always starts cold. The start decides only how many probes are taken;
-every row equals chi_record's.
+the lower bound by bisection on lnln_floor). Each row's _cell starts from
+the cubic extrapolation of the last four roots (each interpolated between
+its cell's two probes) from the fifth row on, and from a secant at (chi,
+chi+1) before. chi_table builds its records from those rows, and
+chi_record(q) is the one-row table, so it always starts cold. The start
+decides only how many probes are taken; every row equals chi_record's.
 """
 
 from __future__ import annotations
@@ -169,22 +168,22 @@ def _cell(gap, c: int, x_hat: float):
     """(lo, hi, root): the grid cell [c + m*_CELL, c + (m+1)*_CELL] where gap changes sign.
 
     Starts in the cell holding x_hat (clamped to [c, c+1]) and probes its two
-    ends; _search finds the sign change from there. Like bisection, it never
-    evaluates c or c+1.
-    """
-    lo = min(max(math.floor((x_hat - c) * _CELLS), 0), _CELLS - 1)
-    return _search(gap, c, lo, _at(gap, c, lo), _at(gap, c, lo + 1))
-
-
-def _search(gap, c: int, lo: int, g_lo: float, g_hi: float):
-    """_cell from the cell [c + lo*_CELL, c + (lo+1)*_CELL], whose ends have gap g_lo and g_hi.
-
-    When the two probes do not show the sign change, gallops toward it with
+    ends. Unless they straddle the sign change, it gallops toward it with
     doubling steps and bisects the grid points between, so an estimate d
-    cells off costs about 2*log2(d) probes. root lies in the cell: the zero
-    of the line through the gap at its two ends, or the cell's midpoint when
-    one end is c or c+1.
+    cells off costs about 2*log2(d) probes. Like bisection, it never
+    evaluates c or c+1. root lies in the cell: the zero of the line through
+    the gap at its two ends, or the cell's midpoint when one end is c or c+1.
     """
+    m = (x_hat - c) * _CELLS
+    if 1.0 <= m < _CELLS - 1:  # an interior cell, probed inline: most rows end here
+        lo = int(m)
+        x = c + lo * _CELL
+        g_lo, g_hi = gap(x), gap(x + _CELL)
+        if g_lo < 0.0 <= g_hi:
+            return x, x + _CELL, x + g_lo / (g_lo - g_hi) * _CELL
+    else:  # the cell at c or at c+1
+        lo = 0 if m < 1.0 else _CELLS - 1
+        g_lo, g_hi = _at(gap, c, lo), _at(gap, c, lo + 1)
     hi, step = lo + 1, 1
     while g_lo >= 0.0:
         hi, g_hi, lo, step = lo, g_lo, max(lo - step, 0), 2 * step
@@ -309,11 +308,9 @@ def chi_rows(q_min: int, q_max: int):
     """The row (q, chi, x0_lo, x0_hi, x0_is_integer, lnln_floor) of each q in [q_min, q_max].
 
     Plain tuples in ChiRecord's field order, from one upward sweep over the
-    common runs of chi and the lower bound (chi_runs, lnln_runs). From the
-    fifth row on, the cell search starts from the root extrapolated from the
-    last four rows' roots where _extrapolate gives one: the two ends of that
-    cell are probed here, and _search runs only when they do not straddle the
-    sign change. Elsewhere the row starts from the cold secant's estimate.
+    common runs of chi and the lower bound (chi_runs, lnln_runs). Each row's
+    _cell starts from the root that _extrapolate gives from the last four
+    rows' roots, if it gives one, and else from the cold secant's estimate.
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
@@ -324,16 +321,7 @@ def chi_rows(q_min: int, q_max: int):
         for q in range(lo, hi + 1):
             gap = _gap(q)
             x_hat = None if r4 is None else _extrapolate(c, r1, r2, r3, r4)
-            m = 0 if x_hat is None else int((x_hat - c) * _CELLS)
-            if 0 < m < _CELLS - 1:  # an estimate, in a cell with neither end at c nor c+1
-                x = c + m * _CELL
-                g_lo, g_hi = gap(x), gap(x + _CELL)
-                if g_lo < 0.0 <= g_hi:
-                    x_lo, x_hi, root = x, x + _CELL, x + g_lo / (g_lo - g_hi) * _CELL
-                else:
-                    x_lo, x_hi, root = _search(gap, c, m, g_lo, g_hi)
-            else:
-                x_lo, x_hi, root = _cell(gap, c, _secant(gap, c) if x_hat is None else x_hat)
+            x_lo, x_hi, root = _cell(gap, c, _secant(gap, c) if x_hat is None else x_hat)
             yield (q, c, *_from_cell(q, c, x_lo, x_hi), k)
             r1, r2, r3, r4 = root, r1, r2, r3
 

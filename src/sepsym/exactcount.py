@@ -187,13 +187,8 @@ def _defect_runs(q: int, p: int, n_min: int, n_max: int):
 
 
 def delta3(n: int) -> int:
-    """Defect of the ternary family: size_sq(3, 3, n) - gamma(3, n), exact."""
-    if n < 2:
-        raise ParameterError(f"the defect is defined for n >= 2, got {n}")
-    d = size_sq(3, 3, n) - gamma(3, n)
-    if d < 0:
-        raise RuntimeError(f"negative defect at n={n}: set size fell below gamma")
-    return d
+    """Defect of the ternary family: size_sq(3, 3, n) - gamma(3, n), the one run of defect_runs."""
+    return next(defect_runs(3, n, n))[2]
 
 
 def least_possible_criterion(q: int, n: int) -> bool:

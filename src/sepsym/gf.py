@@ -87,8 +87,6 @@ def _is_irreducible(coeffs, p, k):
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    if k == 1:
-        return (0, 1)
     for c in range(p ** k):
         coeffs = _digits(c, p, k) + [1]
         if _is_irreducible(coeffs, p, k):

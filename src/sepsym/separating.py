@@ -87,9 +87,9 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
     """Stream the fingerprints (s_t for t in idx) of the orbits with s_t0 in cs, t0 = idx[0].
 
     Without cs, every orbit in lexicographic order: each level below n, then
-    level n by parts. The caller counts; the orbit bound is enumerate_orbits'.
+    level n by parts. The caller counts, and checks n and the orbit bound
+    first (_check_store).
     """
-    enumerate_orbits(spec, n)  # checks n and the orbit bound
     q, t0 = spec.q, idx[0] if cs else 0
     if n == 1:  # no product: s_1 is the orbit itself, and the tables stay unbuilt
         yield [v * len(idx) for v in _cut([(x,) for x in range(q)], cs, 0)]

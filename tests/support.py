@@ -112,6 +112,23 @@ def naive_check(spec, n, T, rows=None):
     return len(seen) == total, witness, total, len(seen)
 
 
+def lucas_check(n, T):
+    """naive_check at q = 2 by Lucas' theorem, with no field arithmetic.
+
+    The orbit with w ones, (0, ..., 0, 1, ..., 1), has s_t = binom(w, t) mod 2
+    = [t & w == t], so T separates iff w -> ([t & w == t] for t in T) is
+    injective on [0, n]. The witness pairs the least weight whose vector
+    repeats with the first weight that has that vector.
+    """
+    idx = sorted(set(T))
+    first, witness = {}, None
+    for w in range(n + 1):
+        w0 = first.setdefault(tuple([t & w == t for t in idx]), w)
+        if witness is None and w0 != w:
+            witness = tuple((0,) * (n - v) + (1,) * v for v in (w0, w))
+    return witness is None, witness, n + 1, len(first)
+
+
 def naive_min_size(spec, n):
     """Smallest separating subset, trying every subset from size gamma up, in order.
 

@@ -430,6 +430,14 @@ def test_chi_table_range_validation(capsys):
     assert rc == 2
 
 
+def test_chi_table_at_the_cap(capsys):
+    # q-max = MAX_TABLE_Q is accepted; one more is a usage error
+    rc, lines = run(capsys, "chi-table", "--q-min", "999999", "--q-max", str(cli.MAX_TABLE_Q))
+    assert rc == 0
+    assert cli.MAX_TABLE_Q == 10 ** 6
+    assert [line.split(",")[:2] for line in lines[2:]] == [["999999", "9"], ["1000000", "9"]]
+
+
 def test_jobs_keep_output(capsys, monkeypatch):
     table = ("chi-table", "--q-min", "2", "--q-max", "60")
     assert run(capsys, *table, "--jobs", "2") == run(capsys, *table, "--jobs", "1")
@@ -624,6 +632,7 @@ def test_classify3_usage(capsys):
     ("orbits", "--q", "3", "--n", "0"),
     ("chi", "--q", "1"),
     ("check-sep", "--q", "2", "--n", "100000", "--preset", "full"),  # past the store bound
+    ("chi-table", "--q-min", "2", "--q-max", "1000001"),  # one past the table cap
 ])
 def test_usage_error_prints_no_table(capsys, tmp_path, argv):
     rc, lines = run(capsys, *argv)

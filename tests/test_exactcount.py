@@ -268,7 +268,12 @@ def test_defect_runs_on_random_windows_up_to_1e60(q, a, length):
 
 
 def test_defect_runs_q3_is_delta3():
-    assert _expand(defect_runs(3, 2, 5000)) == [delta3(n) for n in range(2, 5001)]
+    # both against size_sq - gamma per n: delta3 is itself the one-row sweep
+    want = [_direct(3, n) for n in range(2, 5001)]
+    assert _expand(defect_runs(3, 2, 5000)) == want
+    assert [delta3(n) for n in range(2, 5001)] == want
+    with pytest.raises(ParameterError, match=r"^the defect is defined for n >= 2, got 1$"):
+        delta3(1)
     assert [d for _, _, d in defect_runs(3, 2, 10 ** 100)] == [0, 1] * 415 + [0]
 
 

@@ -21,7 +21,14 @@ from sepsym.separating import (
     check_separating,
     min_separating_size,
 )
-from support import GRID_CELLS, naive_check, naive_min_size, naive_redundant, naive_rows
+from support import (
+    GRID_CELLS,
+    lucas_check,
+    naive_check,
+    naive_min_size,
+    naive_redundant,
+    naive_rows,
+)
 
 TABLE_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256)
 
@@ -161,6 +168,27 @@ def test_scale_and_parameter_errors():
         check_separating(F2, 100_000, range(1, 100_001))  # 10^5 orbits, 10^10 entries
 
 
+@pytest.mark.parametrize("n, kind", [
+    (1500, "scaled"), (2047, "scaled"), (3000, "scaled"),
+    (1500, "scaled-but-top"), (2048, "scaled-but-top"), (3000, "scaled-but-top"),
+    (1500, "random"), (2047, "random"), (3000, "random"),
+    (1500, "random+scaled"), (3000, "random+scaled"),
+    (1000, "full"), (2047, "full"),
+])
+def test_q2_verdicts_match_lucas(n, kind):
+    # at q = 2 and n in the thousands, where naive_check is too slow: the
+    # scaled set {2^m <= n} and its supersets separate, and without its top
+    # power it does not; half of [1, n] at random may go either way
+    scaled = index_set_nq(n, 2, 2)
+    half = random.Random(n).sample(range(1, n + 1), n // 2)
+    T = {"scaled": scaled, "scaled-but-top": scaled[:-1], "random": half,
+         "random+scaled": half + list(scaled), "full": range(1, n + 1)}[kind]
+    want = lucas_check(n, T)
+    if kind != "random":
+        assert want[0] == (kind != "scaled-but-top")
+    assert tuple(check_separating(gf.field_for_order(2), n, T)) == want
+
+
 def test_exhaustive_small_subsets_q2_n4():
     # all subsets of {1..4} classified by brute force; gamma(2, 4) = 3 and the
     # only separating triple is the scaled index set {1, 2, 4}: dropping s_4
@@ -207,6 +235,26 @@ def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search,
     monkeypatch.setattr(separating, "MAX_STORE_CELLS", cells)
     search(spec)
     assert "tables" in vars(spec)
+
+
+@pytest.mark.parametrize("search", [
+    lambda F, n: check_separating(F, n, ()),
+    lambda F, n: check_minimal(F, n, ()),
+    lambda F, n: min_separating_size(F, n),
+], ids=["check_separating", "check_minimal", "min_separating_size"])
+@pytest.mark.parametrize("q, n, error, message", [
+    (4, 0, ParameterError, "n must be >= 1, got 0"),
+    (32, 16, ScaleError, "1503232609098 orbits exceed the enumeration bound 10000000"),
+], ids=["n=0", "above-MAX_ORBITS"])
+def test_the_walk_inputs_are_refused_first(fresh_walk, search, q, n, error, message):
+    # The walk does not check n or the orbit count itself: each entry point
+    # refuses n = 0, and binom(47, 31) > MAX_ORBITS orbits at (32, 16), before
+    # a fresh instance builds its tables or logs.
+    base = gf.field_for_order(q)
+    spec = gf.FieldSpec(base.p, base.k, base.modulus)
+    with pytest.raises(error, match=f"^{message}$"):
+        search(spec, n)
+    assert "tables" not in vars(spec) and "logs" not in vars(spec)
 
 
 @settings(max_examples=40, deadline=None)
