@@ -34,13 +34,16 @@ check_separating counts the stream in chunks, holding only the distinct
 fingerprints. A negative verdict's witness, the first collision in
 lexicographic order, comes from a walk over every orbit, paired with
 enumerate_orbits to name them; a negative count without one is a
-RuntimeError. By the argument above, each index set T that check_minimal
-and min_separating_size try is decided on the slice of min T alone (every
-row if T is empty), projected to T and scanned only up to the first
-collision. Their rows come from one kept walk, _slices, of one value tuple
-per orbit; each slice is cut from it once by _cut, as the walk cuts its
-levels below n, and checked by the same rule. minsep asks both questions
-of one field and n, and so walks once.
+RuntimeError.
+
+For n >= 1 no T without 1 separates: the zero orbit and (0, ..., 0, 1) agree
+on every s_t with t >= 2. So check_minimal and min_separating_size decide
+every set they try that contains 1 on the slice of t0 = 1 alone (s_1 in {0,
+1}, h = q - 1; every orbit when q = 2), projected to T and scanned only up
+to the first collision, and answer False for the rest without a scan. Their
+rows come from one kept sliced walk, _slices, of one value tuple per orbit
+of that slice, checked by the same rule. minsep asks both questions of one
+field and n, and so walks once.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from functools import cache, lru_cache
+from functools import lru_cache
 from operator import ge, getitem, itemgetter, not_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -62,7 +65,8 @@ from sepsym.orbits import enumerate_orbits
 
 MAX_SUBSET_SEARCH_N = 16
 # Fingerprint entries (orbits x indices) one walk may hold: the distinct
-# fingerprints of check_separating, or the value vectors of _slices.
+# fingerprints of check_separating, or the value vectors of _slices (counted
+# for every orbit, though it keeps only the slice s_1 in {0, 1}).
 MAX_STORE_CELLS = 16_000_000
 
 
@@ -181,12 +185,12 @@ def _slice_set(spec: FieldSpec, t0: int) -> tuple[tuple[int, ...], int]:
     return () if h == 1 else (0, 1) if g == 1 else (0, *spec.logs[0][:g]), h
 
 
-def _rebuilt(fps, h: int, col: int = 0) -> int:
-    """The orbits that the slice's rows fps stand for, s_t0 being each row's entry col.
+def _rebuilt(fps, h: int) -> int:
+    """The orbits that the slice's rows fps stand for, s_t0 being each row's first entry.
 
     s_t0 = 0 stands for one orbit, a unit s_t0 for h; with h = 1 the rows may be empty tuples.
     """
-    zero = list(map(itemgetter(col), fps)).count(0) if h > 1 else 0
+    zero = list(map(itemgetter(0), fps)).count(0) if h > 1 else 0
     return zero + h * (len(fps) - zero)
 
 
@@ -198,27 +202,29 @@ def _orbit_total(spec: FieldSpec, n: int, total: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _slices(spec: FieldSpec, n: int):
-    """t0 -> the value vectors (s_1, ..., s_n) of the slice of min T = t0; 0: of every orbit.
+def _slices(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
+    """The value vectors (s_1, ..., s_n) of the slice of min T = 1, in walk order.
 
-    One walk, in walk order, kept with the slices cut from it (each once, and
-    checked to rebuild the orbit count) until a call for another field or n.
+    One sliced walk, checked to rebuild the orbit count and kept until a call
+    for another field or n.
     """
     _check_store(spec, n, n)
-    rows = tuple(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)))))
-
-    @cache
-    def slice_rows(t0: int):
-        cs, h = _slice_set(spec, t0)
-        cut = _cut(rows, cs, t0 - 1)
-        _orbit_total(spec, n, _rebuilt(cut, h, t0 - 1))
-        return cut
-    return slice_rows
+    cs, h = _slice_set(spec, 1)
+    rows = list(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)), cs)))
+    _orbit_total(spec, n, _rebuilt(rows, h))
+    return rows
 
 
 def _separates_on_slice(spec: FieldSpec, n: int, T: tuple[int, ...]) -> bool:
-    """Whether the sorted set T separates, scanned on its slice's rows; t0 = 0 if T is empty."""
-    return _separates(_slices(spec, n)(T[0] if T else 0), _projector(T))
+    """Whether the sorted set T separates, scanned on the slice of min T = 1.
+
+    A T without 1 does not separate, and is not scanned: the zero orbit and
+    (0, ..., 0, 1) agree on every s_t with t >= 2.
+    """
+    if T[:1] != (1,):
+        _check_store(spec, n, n)
+        return False
+    return _separates(_slices(spec, n), _projector(T))
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
@@ -230,6 +236,7 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> Separat
     in lexicographic order: the earliest representative carrying the same
     fingerprint, paired with the current one.
     """
+    enumerate_orbits(spec, n)  # n and the orbit bound before the indices
     idx = normalize_indices(indices, n)
     _check_store(spec, n, len(idx))  # before any table or log is built
     cs, h = _slice_set(spec, idx[0] if idx else 0)
@@ -266,10 +273,11 @@ def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int]):
     Requires a separating input set, else raises NotSeparatingError; each
     index whose removal leaves the set separating is reported as redundant.
     """
+    enumerate_orbits(spec, n)  # n and the orbit bound before the indices
     idx = normalize_indices(indices, n)
     if not _separates_on_slice(spec, n, idx):
         raise NotSeparatingError("minimality is defined only for separating sets")
-    # idx without t starts at idx[0], or at idx[1] when t = idx[0]
+    # idx without 1 is not scanned: it cannot separate
     redundant = [t for t in idx if _separates_on_slice(spec, n, tuple(u for u in idx if u != t))]
     return (not redundant, redundant)
 
@@ -279,14 +287,15 @@ def min_separating_size(spec: FieldSpec, n: int):
 
     Sizes are tried in ascending order starting at gamma(q, n); sets below
     that size cannot separate, since q**|T| fingerprints cannot cover all
-    orbits. Within a size, subsets are tried in lexicographic order and the
-    first success is returned.
+    orbits. Within a size, the subsets that contain 1, the only ones that can
+    separate, are tried in lexicographic order and the first success is
+    returned.
     """
     if n > MAX_SUBSET_SEARCH_N:
         raise ScaleError(
             f"subset search over {{1..{n}}} exceeds the bound n <= {MAX_SUBSET_SEARCH_N}")
     for k in range(gamma(spec.q, n), n + 1):
-        for T in itertools.combinations(range(1, n + 1), k):
-            if _separates_on_slice(spec, n, T):
-                return k, T
+        for rest in itertools.combinations(range(2, n + 1), k - 1):  # every T with 1
+            if _separates_on_slice(spec, n, (1, *rest)):
+                return k, (1, *rest)
     raise RuntimeError("no separating subset found, though the full set always separates")

@@ -688,6 +688,14 @@ def test_check_sep_usage(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("select", [("--T", "1"), ("--preset", "sq")], ids=["T", "preset"])
+def test_check_sep_n0_names_n(capsys, select):
+    # n is checked before the indices, so --T names n as --preset sq does
+    rc = cli.main(["check-sep", "--q", "4", "--n", "0", *select])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", "error: n must be >= 1, got 0\n")
+
+
 def test_a_command_factors_q_once(capsys):
     # gamma asks again through size_sq, check-sep --preset sq through
     # index_set_nq: both repeats are cache hits

@@ -241,7 +241,10 @@ def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search,
     lambda F, n: check_separating(F, n, ()),
     lambda F, n: check_minimal(F, n, ()),
     lambda F, n: min_separating_size(F, n),
-], ids=["check_separating", "check_minimal", "min_separating_size"])
+    lambda F, n: check_separating(F, n, (1,)),
+    lambda F, n: check_minimal(F, n, (1,)),
+], ids=["check_separating", "check_minimal", "min_separating_size",
+        "check_separating_T1", "check_minimal_T1"])
 @pytest.mark.parametrize("q, n, error, message", [
     (4, 0, ParameterError, "n must be >= 1, got 0"),
     (32, 16, ScaleError, "1503232609098 orbits exceed the enumeration bound 10000000"),
@@ -249,7 +252,8 @@ def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search,
 def test_the_walk_inputs_are_refused_first(fresh_walk, search, q, n, error, message):
     # The walk does not check n or the orbit count itself: each entry point
     # refuses n = 0, and binom(47, 31) > MAX_ORBITS orbits at (32, 16), before
-    # a fresh instance builds its tables or logs.
+    # a fresh instance builds its tables or logs, and before it checks the
+    # indices, so that n = 0 with T = {1} names n, not the index.
     base = gf.field_for_order(q)
     spec = gf.FieldSpec(base.p, base.k, base.modulus)
     with pytest.raises(error, match=f"^{message}$"):
@@ -263,7 +267,8 @@ def test_orbit_rows_match_esym_all(cell):
     q, n = cell
     spec = gf.field_for_order(q)
     want = [(rep, esym_all(rep, spec)) for rep in enumerate_orbits(spec, n)]
-    assert list(zip(enumerate_orbits(spec, n), _slices(spec, n)(0), strict=True)) == want
+    rows = itertools.chain.from_iterable(separating._orbit_batches(spec, n, tuple(range(1, n + 1))))
+    assert list(zip(enumerate_orbits(spec, n), rows, strict=True)) == want
 
 
 @pytest.mark.parametrize("q,n", ORACLE_CELLS)
@@ -476,23 +481,38 @@ def test_candidates_scan_only_their_slice(monkeypatch):
                         lambda rows, project: scanned.append(len(rows)) or scan(rows, project))
     F16 = gf.field_for_order(16)
     # gamma = 3: (1, 2, 3), (1, 2, 4) and (1, 3, 4) on the 516 rows of t0 = 1
-    # of 3876 orbits, (2, 3, 4) on the 502 of t0 = 2, then (1, 2, 3, 4)
+    # of 3876 orbits, then (1, 2, 3, 4); (2, 3, 4) cannot separate
     assert min_separating_size(F16, 4) == (4, (1, 2, 3, 4))
-    assert scanned == [516, 516, 516, 502, 516]
+    assert scanned == [516] * 4
     scanned.clear()
+    # (2, 3, 4) is not scanned
     assert check_minimal(F16, 4, (1, 2, 3, 4)) == (True, [])
-    assert scanned == [516, 502, 516, 516, 516]
+    assert scanned == [516] * 4
     scanned.clear()
-    # (2, 3, 4, 5) over F_7: g = gcd(2, 6) = 2, 196 rows of 462 orbits
+    # over F_7 at n = 5: 132 rows of 462 orbits, and (2, 3, 4, 5) is not scanned
     assert check_minimal(gf.field_for_order(7), 5, (1, 2, 3, 4, 5)) == (False, [5])
-    assert scanned == [132, 196, 132, 132, 132, 132]
-    for q, n in ((16, 4), (7, 5)):
-        spec = gf.field_for_order(q)
-        for t0 in range(n + 1):
-            h = (q - 1) // math.gcd(t0, q - 1)
-            rows = _slices(spec, n)(t0)
-            zero = sum(row[t0 - 1] == 0 for row in rows) if h > 1 else 0
-            assert zero + h * (len(rows) - zero) == orbit_count(q, n)
+    assert scanned == [132] * 5
+    assert len(_slices(F16, 4)) == 516 and orbit_count(16, 4) == 3876
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q, n in GRID_CELLS if n >= 2])
+def test_sets_without_1_do_not_separate(monkeypatch, q, n):
+    # the zero orbit and (0, ..., 0, 1) agree on every s_t with t >= 2, so both
+    # the oracle and check_separating give that pair as the first collision of
+    # a T without 1; _separates_on_slice answers False without a scan
+    spec = gf.field_for_order(q)
+    rng = random.Random(1000 * q + n)
+    rows = naive_rows(spec, n)
+    witness = ((0,) * n, (0,) * (n - 1) + (1,))
+    scanned = []
+    monkeypatch.setattr(separating, "_separates", lambda *args: scanned.append(args))
+    for _ in range(6):
+        T = tuple(sorted(rng.sample(range(2, n + 1), rng.randint(1, n - 1))))
+        assert naive_check(spec, n, T, rows)[:2] == (False, witness)
+        assert check_separating(spec, n, T)[:2] == (False, witness)
+        assert _separates_on_slice(spec, n, T) is False
+    assert _separates_on_slice(spec, n, ()) is False
+    assert scanned == []
 
 
 def _minsep(q, n):
@@ -524,10 +544,10 @@ def fresh_walk():
                                     lambda F: check_minimal(F, 6, (1, 2, 3, 4, 6))],
                          ids=["min_separating_size", "check_minimal"])
 def test_slice_rows_are_checked_against_the_orbit_count(monkeypatch, fresh_walk, search):
-    # a walk that drops its last orbit, (3, 3, 3, 3, 3, 3) with s_1 = 0, leaves
-    # the slice of t0 = 1 one orbit short
+    # a walk that drops the last row of the slice of t0 = 1, with s_1 != 0,
+    # leaves it h = 3 orbits short
     walk = separating._orbit_batches
     monkeypatch.setattr(separating, "_orbit_batches",
                         lambda *args: [list(itertools.chain.from_iterable(walk(*args)))[:-1]])
-    with pytest.raises(RuntimeError, match="the slice rebuilds 83 orbits, not 84"):
+    with pytest.raises(RuntimeError, match="the slice rebuilds 81 orbits, not 84"):
         search(gf.field_for_order(4))
