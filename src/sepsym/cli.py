@@ -375,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=("sq", "full"),
                        help="sq: the power-scaled set; full: all of 1..n")
     _command(subs, "minsep", _cmd_minsep,
-             "smallest separating subset size by exhaustive search", "--q", "--n")
+             "smallest separating subset, grown from the indices all of them hold", "--q", "--n")
     _command(subs, "orbits", _cmd_orbits, "stream the canonical orbit representatives",
              "--q", "--n")
     for p in subs.choices.values():  # every command, last

@@ -37,13 +37,12 @@ enumerate_orbits to name them; a negative count without one is a
 RuntimeError.
 
 For n >= 1 no T without 1 separates: the zero orbit and (0, ..., 0, 1) agree
-on every s_t with t >= 2. So check_minimal and min_separating_size decide
-every set they try that contains 1 on the slice of t0 = 1 alone (s_1 in {0,
-1}, h = q - 1; every orbit when q = 2), projected to T and scanned only up
-to the first collision, and answer False for the rest without a scan. Their
-rows come from one kept sliced walk, _slices, of one value tuple per orbit
-of that slice, checked by the same rule. minsep asks both questions of one
-field and n, and so walks once.
+on every s_t with t >= 2. So _separates_on_slice answers False for such a T
+without a scan, and decides the rest on the slice of t0 = 1 alone (s_1 in
+{0, 1}, h = q - 1; every orbit when q = 2), scanned up to the first
+collision in one kept sliced walk, _slices, checked by the same rule.
+min_separating_size tries only the supersets of the indices that
+check_minimal's drop-one scan finds essential in {1..n}; minsep walks once.
 """
 
 from __future__ import annotations
@@ -56,17 +55,16 @@ from operator import ge, getitem, itemgetter, not_
 from typing import Iterable, Iterator, NamedTuple
 
 from sepsym.errors import NotSeparatingError, ScaleError
-# esym_all is not called here, but stays importable from this module: the
-# benchmark's layer tracer patches names where they are looked up.
+# esym_all is unused here; the benchmark's layer tracer patches it where it is looked up
 from sepsym.esym import esym_all, normalize_indices  # noqa: F401
 from sepsym.exactcount import gamma, orbit_count
 from sepsym.gf import FieldSpec
 from sepsym.orbits import enumerate_orbits
 
 MAX_SUBSET_SEARCH_N = 16
-# Fingerprint entries (orbits x indices) one walk may hold: the distinct
-# fingerprints of check_separating, or the value vectors of _slices (counted
-# for every orbit, though it keeps only the slice s_1 in {0, 1}).
+# A bound on orbit_count(q, n) x |T| (x n for the walk that _slices keeps):
+# the fingerprints a check may store, counted for every orbit. It does not
+# count the walk's level n - 1, held whole while level n streams.
 MAX_STORE_CELLS = 16_000_000
 
 
@@ -77,13 +75,15 @@ class SeparationVerdict(NamedTuple):
     fingerprint_count: int
 
 
-def _check_store(spec: FieldSpec, n: int, width: int) -> None:
-    """Check n and the orbit bound, then that orbits x width fingerprint entries fit the store."""
+def _gate(spec: FieldSpec, n: int, indices: Iterable[int], kept=False) -> tuple[int, ...]:
+    """The sorted indices, checked after n and the orbit bound, then orbits x |T| (x n if kept)."""
     enumerate_orbits(spec, n)
-    total = orbit_count(spec.q, n)
+    idx = normalize_indices(indices, n)
+    total, width = orbit_count(spec.q, n), n if kept else len(idx)
     if total * width > MAX_STORE_CELLS:
         raise ScaleError(f"{total} orbits x {width} indices exceed the fingerprint store "
                          f"bound of {MAX_STORE_CELLS} entries")
+    return idx
 
 
 def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
@@ -91,8 +91,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
     """Stream the fingerprints (s_t for t in idx) of the orbits with s_t0 in cs, t0 = idx[0].
 
     Without cs, every orbit in lexicographic order: each level below n, then
-    level n by parts. The caller counts, and checks n and the orbit bound
-    first (_check_store).
+    level n by parts. The caller counts, and checks its inputs first (_gate).
     """
     q, t0 = spec.q, idx[0] if cs else 0
     if n == 1:  # no product: s_1 is the orbit itself, and the tables stay unbuilt
@@ -208,7 +207,6 @@ def _slices(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
     One sliced walk, checked to rebuild the orbit count and kept until a call
     for another field or n.
     """
-    _check_store(spec, n, n)
     cs, h = _slice_set(spec, 1)
     rows = list(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)), cs)))
     _orbit_total(spec, n, _rebuilt(rows, h))
@@ -221,10 +219,7 @@ def _separates_on_slice(spec: FieldSpec, n: int, T: tuple[int, ...]) -> bool:
     A T without 1 does not separate, and is not scanned: the zero orbit and
     (0, ..., 0, 1) agree on every s_t with t >= 2.
     """
-    if T[:1] != (1,):
-        _check_store(spec, n, n)
-        return False
-    return _separates(_slices(spec, n), _projector(T))
+    return T[:1] == (1,) and _separates(_slices(spec, n), _projector(T))
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:
@@ -236,9 +231,7 @@ def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> Separat
     in lexicographic order: the earliest representative carrying the same
     fingerprint, paired with the current one.
     """
-    enumerate_orbits(spec, n)  # n and the orbit bound before the indices
-    idx = normalize_indices(indices, n)
-    _check_store(spec, n, len(idx))  # before any table or log is built
+    idx = _gate(spec, n, indices)
     cs, h = _slice_set(spec, idx[0] if idx else 0)
     fps = itertools.chain.from_iterable(_orbit_batches(spec, n, idx, cs))
     total, seen = 0, set()
@@ -267,35 +260,42 @@ def _first_collision(spec: FieldSpec, n: int, idx: tuple[int, ...]) -> tuple:
             return earlier, rep
 
 
+def _redundant(spec: FieldSpec, n: int, idx: tuple[int, ...]) -> list[int]:
+    """The indices of the sorted set idx whose removal leaves a separating set."""
+    return [t for t in idx if _separates_on_slice(spec, n, tuple(u for u in idx if u != t))]
+
+
 def check_minimal(spec: FieldSpec, n: int, indices: Iterable[int]):
     """(is_minimal, redundant): whether no single index can be dropped.
 
     Requires a separating input set, else raises NotSeparatingError; each
     index whose removal leaves the set separating is reported as redundant.
     """
-    enumerate_orbits(spec, n)  # n and the orbit bound before the indices
-    idx = normalize_indices(indices, n)
+    idx = _gate(spec, n, indices, kept=True)
     if not _separates_on_slice(spec, n, idx):
         raise NotSeparatingError("minimality is defined only for separating sets")
-    # idx without 1 is not scanned: it cannot separate
-    redundant = [t for t in idx if _separates_on_slice(spec, n, tuple(u for u in idx if u != t))]
+    redundant = _redundant(spec, n, idx)
     return (not redundant, redundant)
 
 
 def min_separating_size(spec: FieldSpec, n: int):
     """Smallest size of a separating index subset, with the first witness.
 
-    Sizes are tried in ascending order starting at gamma(q, n); sets below
-    that size cannot separate, since q**|T| fingerprints cannot cover all
-    orbits. Within a size, the subsets that contain 1, the only ones that can
-    separate, are tried in lexicographic order and the first success is
-    returned.
+    A set inside one that does not separate does not separate either, so
+    every separating set holds E, the t for which {1..n} minus t fails. E
+    plus k others is tried, k ascending from gamma(q, n) - |E| (no set below
+    gamma separates), each k in lexicographic order: the order of every set
+    by size, then lexicographically, kept to the supersets of E.
     """
     if n > MAX_SUBSET_SEARCH_N:
         raise ScaleError(
             f"subset search over {{1..{n}}} exceeds the bound n <= {MAX_SUBSET_SEARCH_N}")
-    for k in range(gamma(spec.q, n), n + 1):
-        for rest in itertools.combinations(range(2, n + 1), k - 1):  # every T with 1
-            if _separates_on_slice(spec, n, (1, *rest)):
-                return k, (1, *rest)
+    full = _gate(spec, n, range(1, n + 1), kept=True)
+    free = _redundant(spec, n, full)
+    essential = [t for t in full if t not in free]
+    for k in range(max(gamma(spec.q, n) - len(essential), 0), len(free) + 1):
+        for extra in itertools.combinations(free, k):
+            T = tuple(sorted((*essential, *extra)))
+            if _separates_on_slice(spec, n, T):
+                return len(T), T
     raise RuntimeError("no separating subset found, though the full set always separates")

@@ -288,6 +288,29 @@ def test_verdicts_match_naive_oracle(q, n):
         assert check_minimal(spec, n, sq) == (not redundant, redundant)
 
 
+@pytest.mark.parametrize("q,n", ORACLE_CELLS)
+def test_essential_indices_match_naive_oracle(q, n):
+    # t is essential when {1..n} minus t does not separate: exactly the t that
+    # check_minimal does not find redundant in {1..n}, and, since a set inside
+    # one that does not separate does not separate either, in every separating
+    # set, the oracle's least one too
+    spec = gf.field_for_order(q)
+    rows = naive_rows(spec, n)
+    full = range(1, n + 1)
+    essential = {t for t in full
+                 if not naive_check(spec, n, [u for u in full if u != t], rows)[0]}
+    assert essential == set(full) - set(check_minimal(spec, n, full)[1])
+    assert essential <= set(naive_min_size(spec, n)[1])
+
+
+def test_min_size_beyond_the_essential_indices():
+    # (13, 10) is the one cell with q <= 32 and n <= 16 whose essential
+    # indices, {1..7}, do not separate, so the search adds one more index
+    F13 = gf.field_for_order(13)
+    assert check_minimal(F13, 10, range(1, 11)) == (False, [8, 9, 10])
+    assert min_separating_size(F13, 10) == (8, (1, 2, 3, 4, 5, 6, 7, 8))
+
+
 # The witness pairs the first leaf, in walk order, whose fingerprint an
 # earlier leaf has with the first leaf that has it. Without index 1 the
 # leaves of the zero prefix (one batch of siblings) already collide with
@@ -513,6 +536,14 @@ def test_sets_without_1_do_not_separate(monkeypatch, q, n):
         assert _separates_on_slice(spec, n, T) is False
     assert _separates_on_slice(spec, n, ()) is False
     assert scanned == []
+
+
+def test_check_minimal_without_1_builds_nothing():
+    # a fresh instance: the set cannot separate, and is refused with no walk
+    spec = gf.FieldSpec(2, 2, gf.field_for_order(4).modulus)
+    with pytest.raises(NotSeparatingError):
+        check_minimal(spec, 6, (2, 3, 4, 5, 6))
+    assert "tables" not in vars(spec) and "logs" not in vars(spec)
 
 
 def _minsep(q, n):
