@@ -7,7 +7,7 @@ one sum per value held, and the values grow with the nonzero entries seen,
 so a vector costs O(n^2) operations at most and no divisions: exact in every
 characteristic (Newton-style recurrences would divide by small integers
 that vanish mod p). The orbit walk in sepsym.separating takes the same step
-for a whole batch of orbits at once, one new factor per orbit.
+for a whole level of orbits at once, each multiplied by a new least factor.
 """
 
 from __future__ import annotations

@@ -7,11 +7,15 @@ Verdicts are exhaustive: every orbit is accounted for, none is assumed.
 The walk, _orbit_batches: a sorted representative is (0, ..., 0, M), M its
 k nonzero entries, so lexicographic order is k ascending, then M in
 lexicographic order. Level k is built from level k - 1 (Knuth, TAOCP 4A,
-7.2.1.3), each part M' followed by x = a, ..., q - 1, a its last entry (0
-for the empty part, whose x = 0 is the zero orbit); child x has s'_t = s_t
-+ x s_{t-1} (s_0 = 1), from the parent's values and the field's tables, and
-with more children than indices the column of s'_t is one map in C. A level
-below n keeps its rows s_1, ..., s_k until the next level is built.
+7.2.1.3) by prepending the least entry: y = 1, ..., q - 1 goes before each
+part M' whose first entry is >= y, a suffix of the level (its first entries
+ascend), found by one bisection; y ascending, then M', is lexicographic
+order again. Child y has s'_t = s_t + y s_{t-1} (s_0 = 1), from the
+parent's values and the field's tables. A level whose parts outnumber q - 1
+per value is built by columns, s'_t of a whole suffix in one pass for each y
+and t; a thinner one (q = 2 and 3 throughout) by rows, one pass over each
+part's values. A level below n keeps its values until the next level is
+built; level n streams one y at a time.
 
 The slice, a result of this package rather than of the paper: let t0 = min
 T, g = gcd(t0, q - 1), H the t0-th powers of the units, which are the g-th
@@ -26,9 +30,10 @@ at s_t0 = 0 plus h times their count at s_t0 in R. The walk only streams
 the slice's fingerprints, whose first entry is s_t0; check_separating
 rebuilds both counts from them by that rule and checks the orbit count
 against binom(n+q-1, q-1). At level n a part has at most |S| children in
-it, x = (c - s_t0) / s_{t0-1} >= a, or all or none if s_{t0-1} = 0, solved
-for all parts at once. For g = 1 the slice is s_t0 in {0, 1}; for h = 1
-(q = 2, T empty, or (q - 1) | t0) it is every orbit, kept whole.
+it, y = (c - s_t0) / s_{t0-1} with 1 <= y <= its first entry, or all or
+none if s_{t0-1} = 0, solved for all parts at once. For g = 1 the slice is
+s_t0 in {0, 1}; for h = 1 (q = 2, T empty, or (q - 1) | t0) it is every
+orbit, kept whole.
 
 check_separating counts the stream in chunks, holding only the distinct
 fingerprints. A negative verdict's witness, the first collision in
@@ -49,9 +54,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from operator import ge, getitem, itemgetter, not_
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from sepsym.errors import NotSeparatingError, ScaleError
@@ -64,7 +69,8 @@ from sepsym.orbits import enumerate_orbits
 MAX_SUBSET_SEARCH_N = 16
 # A bound on orbit_count(q, n) x |T| (x n for the walk that _slices keeps):
 # the fingerprints a check may store, counted for every orbit. It does not
-# count the walk's level n - 1, held whole while level n streams.
+# count the walk's level n - 1, held whole, by columns where it is wide, while
+# level n streams.
 MAX_STORE_CELLS = 16_000_000
 
 
@@ -90,63 +96,114 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
                    ) -> Iterator[Iterable[tuple[int, ...]]]:
     """Stream the fingerprints (s_t for t in idx) of the orbits with s_t0 in cs, t0 = idx[0].
 
-    Without cs, every orbit in lexicographic order: each level below n, then
-    level n by parts. The caller counts, and checks its inputs first (_gate).
+    Without cs, every orbit in lexicographic order: the zero orbit, each level
+    below n, then level n by its least entry y. The caller counts, and checks
+    its inputs first (_gate).
     """
     q, t0 = spec.q, idx[0] if cs else 0
     if n == 1:  # no product: s_1 is the orbit itself, and the tables stay unbuilt
         yield [v * len(idx) for v in _cut([(x,) for x in range(q)], cs, 0)]
         return
     add_t, mul_t = spec.tables
-    get = [row.__getitem__ for row in add_t]
 
-    def batch(s, a, ts):
-        # s'_t = s_t + x s_{t-1}: by columns if the batch has more orbits
-        # than ts has indices (a column with s_t = 0 is the row slice itself)
-        if 0 < len(ts) < q - a:
-            return zip(*[map(get[s[t]], mul_t[s[t - 1]][a:]) if s[t]
-                         else mul_t[s[t - 1]][a:] for t in ts])
-        return [tuple([add_t[s[t]][mx[s[t - 1]]] for t in ts]) for mx in mul_t[a:]]
+    def spans(firsts):
+        # (y, i) for y = 1, ..., firsts[-1]: y goes before the parts from the i-th on
+        return enumerate(map(bisect_left, itertools.repeat(firsts), range(1, firsts[-1] + 1)), 1) \
+            if firsts else ()
 
-    # level k: (a, (s_1, ..., s_k)) of each nonzero part of length k, a its last entry
-    level = [(0, ())]
+    def wide(k, width):
+        # whether level k is held by columns: once its parts, binom(k + q - 2,
+        # q - 2), outnumber q - 1 per value it computes. The parts per value
+        # only grow with k for q >= 4 and never pass q - 1 for q <= 3, so a
+        # walk switches from rows to columns once or never.
+        return math.comb(k + q - 2, q - 2) > (q - 1) * width
+
+    def columns(rows):  # [None, s_1, ..., s_k] of a level held by rows
+        return [None, *map(list, zip(*rows))]
+
+    def column(s, t, y, i):
+        # s'_t = s_t + y s_{t-1} of the children by y of the parts from the i-th
+        # on, s[t] the parts' column of s_t, s_0 = 1 and s_t = 0 past the last
+        my = mul_t[y]
+        if t == 1:
+            plus_y = add_t[y]
+            return [plus_y[a] for a in s[1][i:]]
+        if t == len(s):
+            return [my[b] for b in s[t - 1][i:]]
+        return [add_t[a][my[b]] for a, b in zip(s[t][i:], s[t - 1][i:])]
+
+    def child(r, my):  # the row of a part's child by y, my the row of y in mul_t
+        row, b = [], 1
+        for a in r:
+            row.append(add_t[a][my[b]])
+            b = a
+        row.append(my[b])
+        return tuple(row)
+
+    yield [(0,) * len(idx)]  # the zero orbit, whose s_t0 = 0 is in cs
+    # level k: firsts, the least entry of each nonzero part of length k,
+    # ascending, and the parts' values, by rows (s_1, ..., s_k) or, once rows
+    # is None, by columns s[t], the s_t of every part
+    firsts, rows, s = list(range(1, q)), [(x,) for x in range(1, q)], None
+    in_cs = frozenset(cs).__contains__
     for k in range(1, n):
-        cut_k = bisect_right(idx, k)
-        project, pad = _projector(idx[:cut_k]), (0,) * (len(idx) - cut_k)
-        built = []
-        for a, r in level:
-            built += zip(range(a, q), batch((1, *r, 0), a, range(1, k + 1)))
-        # for t0 > k, s_t0 = 0 is in cs
-        yield [project(v) + pad for v in _cut(list(map(itemgetter(1), built)),
-                                              cs if t0 <= k else (), t0 - 1)]
-        if k == 1:
-            del built[0]  # the zero orbit: its nonzero part is level 0's
-        level = built
-    if not cs:  # every child of every part
-        yield from (batch((1, *r, 0), a, idx) for a, r in level)
+        if k > 1:
+            if rows is not None and wide(k, k):
+                s, rows = columns(rows), None
+            starts = list(spans(firsts))
+            firsts = list(itertools.chain.from_iterable(
+                itertools.repeat(y, len(firsts) - i) for y, i in starts))
+            if rows is None:
+                s = [None, *[list(itertools.chain.from_iterable(
+                    column(s, t, y, i) for y, i in starts)) for t in range(1, k + 1)]]
+            else:
+                rows = [child(r, mul_t[y]) for y, i in starts for r in rows[i:]]
+        if rows is None:
+            zeros = [0] * len(firsts)
+            fps = zip(*[s[t] if t <= k else zeros for t in idx]) if idx else \
+                itertools.repeat((), len(firsts))
+            yield itertools.compress(fps, map(in_cs, s[t0])) if 0 < t0 <= k else fps
+        else:
+            cut_k = bisect_right(idx, k)
+            project, pad = _projector(idx[:cut_k]), (0,) * (len(idx) - cut_k)
+            # for t0 > k, s_t0 = 0 is in cs
+            yield [project(r) + pad for r in _cut(rows, cs if t0 <= k else (), t0 - 1)]
+    # level n computes the values of idx
+    if rows is not None and (cs or wide(n, len(idx))):
+        s, rows = columns(rows), None
+    if not cs:  # every child of every part, y ascending
+        project = _projector(idx)
+        for y, i in spans(firsts):
+            if rows is not None:
+                yield [project(child(r, mul_t[y])) for r in rows[i:]]
+            else:
+                yield zip(*[column(s, t, y, i) for t in idx]) if idx else \
+                    itertools.repeat((), len(firsts) - i)
         return
-    # the rest of level n by columns: cols[t] holds s_t of every part, and a
-    # part's child x has s'_t0 = e + x d, with e = s_t0 and d = s_{t0-1}
-    heads = [a for a, _ in level]
-    cols = [[1] * len(level), *zip(*[r for _, r in level]), [0] * len(level)]
+    # under a slice, by columns: a part's child y has s'_t0 = e + y d, with
+    # e = s_t0 and d = s_{t0-1}
+    m = len(firsts)
+    cols = [[1] * m, *s[1:], [0] * m]
     d, e = cols[t0 - 1], cols[t0]
-    in_s = frozenset(cs).__contains__
-    for (a, r), ei in itertools.compress(zip(level, e), map(not_, d)):  # s'_t0 = e on all
-        if in_s(ei):
-            yield batch((1, *r, 0), a, idx)
-    if t0 > 1:  # the rows of 1/d, 1/0 read as 0
+    need = {*idx, *[t - 1 for t in idx]}
+    if t0 > 1:  # where d = 0 every child y <= first has s'_t0 = e: all or none
+        keep = [j for j in range(m) if not d[j] and in_cs(e[j])]
+        sub = [None, *[[col[j] for j in keep] if t in need else None
+                       for t, col in enumerate(s[1:], 1)]]
+        sub_firsts = [firsts[j] for j in keep]
+        for y, i in spans(sub_firsts):
+            yield zip(*[column(sub, t, y, i) for t in idx])
         exp, log = spec.logs
-        inv = [0, *[exp[-i % (q - 1)] for i in log[1:]]]
-        over = list(map(mul_t.__getitem__, map(inv.__getitem__, d)))
+        inv = [0, *[exp[-i % (q - 1)] for i in log[1:]]]  # 1/0 read as 0
+        over = [mul_t[inv[x]] for x in d]
     neg = mul_t[spec.p - 1]  # -1 is the index p - 1
-    for c in cs:  # the one child x = (c - e) / d, if d != 0 and x >= a
-        minus = list(map(add_t[c].__getitem__, neg))  # minus[e] = c - e
-        ce = map(minus.__getitem__, e)
-        xs = list(map(getitem, over, ce) if t0 > 1 else ce)
-        mask = list(map(ge, xs, heads))
-        mx = list(map(mul_t.__getitem__, itertools.compress(xs, mask)))
-        s = {t: list(itertools.compress(cols[t], mask)) for t in {*idx, *[t - 1 for t in idx]}}
-        yield zip(*[map(getitem, map(add_t.__getitem__, s[t]), map(getitem, mx, s[t - 1]))
+    for c in cs:  # the one child y = (c - e) / d, if d != 0 and 1 <= y <= first
+        minus = [add_t[c][x] for x in neg]  # minus[e] = c - e
+        ys = [o[minus[x]] for o, x in zip(over, e)] if t0 > 1 else [minus[x] for x in e]
+        sel = [j for j, y, f in zip(range(m), ys, firsts) if 0 < y <= f]
+        my = [mul_t[ys[j]] for j in sel]
+        picked = {t: [cols[t][j] for j in sel] for t in need}
+        yield zip(*[[add_t[a][r[b]] for a, b, r in zip(picked[t], picked[t - 1], my)]
                     for t in idx])
 
 

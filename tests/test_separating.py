@@ -2,9 +2,10 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepsym import gf, separating
@@ -269,6 +270,60 @@ def test_orbit_rows_match_esym_all(cell):
     want = [(rep, esym_all(rep, spec)) for rep in enumerate_orbits(spec, n)]
     rows = itertools.chain.from_iterable(separating._orbit_batches(spec, n, tuple(range(1, n + 1))))
     assert list(zip(enumerate_orbits(spec, n), rows, strict=True)) == want
+
+
+# Levels held by rows (q = 2 and 3 throughout, q = 4 up to level 2, every
+# field at level 1) and by columns. The examples draw t0 > 1 with g > 1,
+# where level n has parts with s_{t0-1} = 0 ((7, 6) with t0 = 2, (13, 5)
+# with t0 = 4), the same at t0 = n ((7, 3) with t0 = 3), and a row-held
+# level n - 1 under a slice ((3, 30) with t0 = 1).
+STREAM_CELLS = [(q, n) for q in TABLE_ORDERS for n in range(1, 41) if orbit_count(q, n) <= 2000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STREAM_CELLS), st.randoms(use_true_random=False))
+@example((7, 6), random.Random(1))
+@example((13, 5), random.Random(9))
+@example((7, 3), random.Random(0))
+@example((3, 30), random.Random(2))
+def test_sliced_stream_matches_naive_rows(cell, rng):
+    # as a multiset, the stream for t0 = min idx is every orbit whose s_t0
+    # lies in the slice set cs (every orbit when cs is empty), projected to idx
+    q, n = cell
+    spec = gf.field_for_order(q)
+    t0 = rng.choice([1, n, rng.randint(1, n)])
+    idx = (t0, *[t for t in range(t0 + 1, n + 1) if rng.random() < 0.5])
+    cs, _ = separating._slice_set(spec, t0)
+    got = Counter(itertools.chain.from_iterable(separating._orbit_batches(spec, n, idx, cs)))
+    want = Counter(tuple(v[t - 1] for t in idx) for _, v in naive_rows(spec, n)
+                   if not cs or v[t0 - 1] in cs)
+    assert got == want
+
+
+@pytest.mark.parametrize("q", [3, 4, 7])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_the_empty_set_counts_every_orbit(q, n):
+    # every fingerprint is the empty tuple, one per orbit, so the first
+    # collision is the zero orbit with the next one
+    spec = gf.field_for_order(q)
+    v = check_separating(spec, n, ())
+    assert (v.separating, v.witness, v.orbit_count, v.fingerprint_count) == \
+        naive_check(spec, n, ())
+
+
+def test_the_witness_walk_stays_lazy():
+    # the first collision of (1, 2) over F_256 at n = 3 lies at the start of
+    # level 3: a walk that built level 3 whole would hold about 2.8M children
+    spec = gf.field_for_order(256)
+    spec.tables  # built before the measurement, which is of the walk alone
+    tracemalloc.start()
+    try:
+        witness = separating._first_collision(spec, 3, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness == ((0, 188, 189), (1, 1, 1))
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("q,n", ORACLE_CELLS)
