@@ -35,12 +35,20 @@ for q <= MAX_CHI_Q < 2**53, and chi_rows, behind every bracket, refuses more.
 
 chi_rows sweeps q upward in one loop. chi and floor(ln ln q) come as runs
 (chi_runs steps chi up by one at each edge; lnln_runs finds each step of
-the lower bound by bisection on lnln_floor). Each row's _cell starts from
+the lower bound by bisection on lnln_floor). Each row estimates its root by
 the cubic extrapolation of the last four roots (each interpolated between
-its cell's two probes) from the fifth row on, and from a secant at (chi,
-chi+1) before. chi_table builds its records from those rows, and
-chi_record(q) is the one-row table, so it always starts cold. The start
-decides only how many probes are taken; every row equals chi_record's.
+its cell's two probes) from the fifth row on, and by a secant at (chi,
+chi+1) before. The loop probes the interior cell holding the estimate
+itself and yields the row when the probes straddle zero; on a miss, or at
+the cell at chi or chi+1, _cell gallops from the estimate. chi_table builds
+its records from those rows, and chi_record(q) is the one-row table, so it
+always starts cold. The start decides only how many probes are taken;
+every row equals chi_record's.
+
+Above q = 64 the gap takes Stirling's remainder s_q from one int quotient
+and two float products (_stirling_rest), equal bit for bit to the three
+exact int quotients it replaces wherever the tests check it: every q of
+the table's range and log-uniform q up to MAX_CHI_Q.
 """
 
 from __future__ import annotations
@@ -75,9 +83,6 @@ _SECANT_CONTRACTION = 0.9
 # chi_table starts a cell search from the cubic extrapolation of the last
 # four roots only where it is this close to the quadratic one.
 _EXTRAPOLATION_AGREEMENT = 64 * _CELL
-
-# Validity threshold of the auxiliary positivity check: e**(e**2) ~ 1618.18.
-EE2 = math.exp(math.exp(2.0))
 
 
 class ChiRecord(NamedTuple):
@@ -131,6 +136,20 @@ def chi_runs(q_min: int, q_max: int):
     yield lo, q_max, c
 
 
+def _stirling_rest(q: int) -> float:
+    """S(q) = 1/(12q) - 1/(360q^3) + 1/(1260q^5), the remainder of lgamma(q), for q > 64.
+
+    1/(12q) is an int quotient, so correctly rounded; the two smaller terms
+    come from float products of q, never from ** (float ** goes through
+    libm's pow, which can differ between platforms). The sum equals the one
+    from three exact int quotients bit for bit: tests/test_chi.py checks
+    every q in [65, 10^6] and log-uniform q up to MAX_CHI_Q.
+    """
+    f = float(q)
+    f3 = f * f * f
+    return 1 / (12 * q) - 1.0 / (360.0 * f3) + 1.0 / (1260.0 * f3 * f * f)
+
+
 def _gap(q: int):
     """x -> root_gap(q, x), with the terms in q alone computed once.
 
@@ -140,8 +159,7 @@ def _gap(q: int):
     ln_q = math.log(q)
     if q <= 64:
         return lambda x: (x - 1.0) * ln_q - math.fsum(math.log1p(x / i) for i in range(1, q))
-    # S(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5), the remainder of lgamma(z)
-    s_q = 1 / (12 * q) - 1 / (360 * q ** 3) + 1 / (1260 * q ** 5)
+    s_q = _stirling_rest(q)
 
     def gap(x: float) -> float:
         r = 1.0 / (q + x)
@@ -173,17 +191,12 @@ def _cell(gap, c: int, x_hat: float):
     cells off costs about 2*log2(d) probes. Like bisection, it never
     evaluates c or c+1. root lies in the cell: the zero of the line through
     the gap at its two ends, or the cell's midpoint when one end is c or c+1.
+    chi_rows probes an interior start cell itself and calls this on a miss
+    or at the cell at c or at c+1.
     """
     m = (x_hat - c) * _CELLS
-    if 1.0 <= m < _CELLS - 1:  # an interior cell, probed inline: most rows end here
-        lo = int(m)
-        x = c + lo * _CELL
-        g_lo, g_hi = gap(x), gap(x + _CELL)
-        if g_lo < 0.0 <= g_hi:
-            return x, x + _CELL, x + g_lo / (g_lo - g_hi) * _CELL
-    else:  # the cell at c or at c+1
-        lo = 0 if m < 1.0 else _CELLS - 1
-        g_lo, g_hi = _at(gap, c, lo), _at(gap, c, lo + 1)
+    lo = int(m) if 1.0 <= m < _CELLS - 1 else (0 if m < 1.0 else _CELLS - 1)
+    g_lo, g_hi = _at(gap, c, lo), _at(gap, c, lo + 1)
     hi, step = lo + 1, 1
     while g_lo >= 0.0:
         hi, g_hi, lo, step = lo, g_lo, max(lo - step, 0), 2 * step
@@ -308,9 +321,10 @@ def chi_rows(q_min: int, q_max: int):
     """The row (q, chi, x0_lo, x0_hi, x0_is_integer, lnln_floor) of each q in [q_min, q_max].
 
     Plain tuples in ChiRecord's field order, from one upward sweep over the
-    common runs of chi and the lower bound (chi_runs, lnln_runs). Each row's
-    _cell starts from the root that _extrapolate gives from the last four
-    rows' roots, if it gives one, and else from the cold secant's estimate.
+    common runs of chi and the lower bound (chi_runs, lnln_runs). Each row
+    starts from the root that _extrapolate gives from the last four rows'
+    roots, if it gives one, and else from the cold secant's estimate. The
+    loop probes an interior start cell itself; _cell takes the rest.
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
@@ -321,7 +335,18 @@ def chi_rows(q_min: int, q_max: int):
         for q in range(lo, hi + 1):
             gap = _gap(q)
             x_hat = None if r4 is None else _extrapolate(c, r1, r2, r3, r4)
-            x_lo, x_hi, root = _cell(gap, c, _secant(gap, c) if x_hat is None else x_hat)
+            if x_hat is None:
+                x_hat = _secant(gap, c)
+            m = (x_hat - c) * _CELLS
+            if 1.0 <= m < _CELLS - 1:  # an interior cell: most rows end at its two probes
+                x = c + int(m) * _CELL
+                g_lo, g_hi = gap(x), gap(x + _CELL)
+                if g_lo < 0.0 <= g_hi:
+                    # _from_cell's row: c < x and x + _CELL < c + 1, so no integer root
+                    yield (q, c, x - _MARGIN, x + _CELL + _MARGIN, False, k)
+                    r1, r2, r3, r4 = x + g_lo / (g_lo - g_hi) * _CELL, r1, r2, r3
+                    continue
+            x_lo, x_hi, root = _cell(gap, c, x_hat)
             yield (q, c, *_from_cell(q, c, x_lo, x_hi), k)
             r1, r2, r3, r4 = root, r1, r2, r3
 
@@ -329,13 +354,3 @@ def chi_rows(q_min: int, q_max: int):
 def chi_table(q_min: int, q_max: int) -> list[ChiRecord]:
     """ChiRecord for every q in [q_min, q_max], ordered by q: the rows of chi_rows."""
     return list(map(ChiRecord._make, chi_rows(q_min, q_max)))
-
-
-def technical_expression(q: float) -> float:
-    """ln(q) - (2*ln(ln q) + 1) * ln(ln(ln q)), defined for q >= e**(e**2)."""
-    if q < EE2:
-        raise ParameterError(
-            f"grid point {q} below the validity threshold e**(e**2) ~ {EE2:.2f}")
-    a = math.log(q)
-    b = math.log(a)
-    return a - (2.0 * b + 1.0) * math.log(b)

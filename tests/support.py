@@ -6,6 +6,7 @@ import math
 import mpmath
 
 from sepsym.chi import TOL, _gap
+from sepsym.errors import ParameterError
 from sepsym.esym import esym_all
 from sepsym.exactcount import least_possible_criterion
 
@@ -15,6 +16,19 @@ BRUTE_GRID = {2: 16, 3: 12, 4: 9, 5: 8, 7: 6, 8: 5, 9: 5}
 
 GRID_CELLS = [(q, n) for q, top in sorted(BRUTE_GRID.items())
               for n in range(1, top + 1)]
+
+# Validity threshold of the auxiliary positivity check: e**(e**2) ~ 1618.18.
+EE2 = math.exp(math.exp(2.0))
+
+
+def technical_expression(q: float) -> float:
+    """ln(q) - (2*ln(ln q) + 1) * ln(ln(ln q)), defined for q >= e**(e**2)."""
+    if q < EE2:
+        raise ParameterError(
+            f"grid point {q} below the validity threshold e**(e**2) ~ {EE2:.2f}")
+    a = math.log(q)
+    b = math.log(a)
+    return a - (2.0 * b + 1.0) * math.log(b)
 
 
 MP_GAP_DPS = 40

@@ -14,7 +14,7 @@ from sepsym import chi, cli, exactcount, f3, gf
 from sepsym.esym import esym_all, index_set_nq
 from sepsym.orbits import enumerate_orbits
 from sepsym.separating import check_minimal, check_separating
-from support import BRUTE_GRID, GRID_CELLS, mp_gap
+from support import BRUTE_GRID, EE2, GRID_CELLS, mp_gap, technical_expression
 
 import random
 
@@ -108,8 +108,8 @@ def test_criterion_05_lower_bounds(acceptance_log, full_chi_records):
     # step functions, so one comparison per run decides every q in it
     runs = list(exactcount.common_runs(chi.chi_runs(2, 10 ** 100), chi.lnln_runs(2, 10 ** 100)))
     bad_runs = [(lo, hi) for lo, hi, c, k in runs if c < k]
-    grid = [chi.EE2 * (1e8 / chi.EE2) ** (i / 99) for i in range(100)]
-    positivity = [chi.technical_expression(q) > 0.0 for q in grid]
+    grid = [EE2 * (1e8 / EE2) ** (i / 99) for i in range(100)]
+    positivity = [technical_expression(q) > 0.0 for q in grid]
     ok = not bad and not bad_runs and all(positivity)
     acceptance_log(f"criterion 5 {_verdict(ok)}: chi dominates floor(ln ln q) "
                    f"on [2, 10^4] and on all {len(runs)} common runs over [2, 10^100], "

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepsym import chi
+from sepsym import chi, cli
 from sepsym.errors import ParameterError
-from support import bisect_bracket, bisect_cell, mp_gap, scan_chi
+from support import EE2, bisect_bracket, bisect_cell, mp_gap, scan_chi, technical_expression
 
 
 def _expand(runs):
@@ -143,6 +143,31 @@ def test_bracket_equals_bisection_log_uniform(u):
 @pytest.mark.parametrize("q", [2, 7324, 43812, 87986, 91674, 96221])
 def test_bracket_equals_bisection_near_a_cell_edge(q):
     assert chi.x0_bracket(q) == bisect_bracket(q, chi.chi_exact(q))
+
+
+def _exact_stirling_rest(q):
+    # three int quotients, each correctly rounded
+    return 1 / (12 * q) - 1 / (360 * q ** 3) + 1 / (1260 * q ** 5)
+
+
+def _gap_s_q(q):
+    # the s_q that the gap of q closes over
+    gap = chi._gap(q)
+    return gap.__closure__[gap.__code__.co_freevars.index("s_q")].cell_contents
+
+
+def test_stirling_rest_equals_exact_quotients_up_to_the_table_cap():
+    # bisect_bracket reads chi._gap too, so a drift in s_q shows only here
+    exact = _exact_stirling_rest
+    assert [q for q in range(65, cli.MAX_TABLE_Q + 1) if chi._stirling_rest(q) != exact(q)] == []
+    assert [_gap_s_q(q) for q in (65, 10 ** 6)] == [exact(65), exact(10 ** 6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(65), math.log(chi.MAX_CHI_Q)))
+def test_stirling_rest_equals_exact_quotients_log_uniform(u):
+    q = min(max(int(math.exp(u)), 65), chi.MAX_CHI_Q)
+    assert _gap_s_q(q) == chi._stirling_rest(q) == _exact_stirling_rest(q)
 
 
 def _recording(gap, limit=math.inf):
@@ -429,13 +454,13 @@ def test_lnln_runs_step_cost(monkeypatch):
 
 
 def test_technical_expression_examples():
-    assert chi.technical_expression(chi.EE2 + 1.0) > 0
-    assert chi.technical_expression(1e4) > 0
-    assert chi.technical_expression(1e6) > 0
-    grid = [chi.EE2 + 1.0, 2e3, 1e4, 1e6, 1e8]
-    assert [chi.technical_expression(q) > 0.0 for q in grid] == [True] * 5
+    assert technical_expression(EE2 + 1.0) > 0
+    assert technical_expression(1e4) > 0
+    assert technical_expression(1e6) > 0
+    grid = [EE2 + 1.0, 2e3, 1e4, 1e6, 1e8]
+    assert [technical_expression(q) > 0.0 for q in grid] == [True] * 5
     with pytest.raises(ParameterError):
-        chi.technical_expression(100.0)
+        technical_expression(100.0)
 
 
 def test_smallest_q_reaching_each_chi(full_chi_records):
