@@ -45,7 +45,10 @@ For n >= 1 no T without 1 separates: the zero orbit and (0, ..., 0, 1) agree
 on every s_t with t >= 2. So _separates_on_slice answers False for such a T
 without a scan, and decides the rest on the slice of t0 = 1 alone (s_1 in
 {0, 1}, h = q - 1; every orbit when q = 2), scanned up to the first
-collision in one kept sliced walk, _slices, checked by the same rule.
+collision in one kept sliced walk, _slices, checked by the same rule. Each
+verdict scanned there is kept beside the rows and decides by inclusion: a
+pair colliding on F collides on every T inside F, and a T holding a
+separating S separates (minsep --q 8 --n 5 scans 4 sets, not 10).
 min_separating_size tries only the supersets of the indices that
 check_minimal's drop-one scan finds essential in {1..n}; minsep walks once.
 """
@@ -258,25 +261,39 @@ def _orbit_total(spec: FieldSpec, n: int, total: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _slices(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
-    """The value vectors (s_1, ..., s_n) of the slice of min T = 1, in walk order.
+def _slices(spec: FieldSpec, n: int) -> tuple[list[tuple[int, ...]], list, list]:
+    """(rows, failed, separating): the slice of min T = 1 and the sets scanned on it.
 
-    One sliced walk, checked to rebuild the orbit count and kept until a call
-    for another field or n.
+    rows, the value vectors (s_1, ..., s_n) of the slice in walk order, come
+    from one sliced walk checked to rebuild the orbit count. failed and
+    separating hold, as frozensets, each T that _separates_on_slice scanned on
+    rows; they decide every T inside a failed one or holding a separating one.
+    All three are kept, one cache entry, until a call for another field or n.
     """
     cs, h = _slice_set(spec, 1)
     rows = list(itertools.chain.from_iterable(_orbit_batches(spec, n, tuple(range(1, n + 1)), cs)))
     _orbit_total(spec, n, _rebuilt(rows, h))
-    return rows
+    return rows, [], []
 
 
 def _separates_on_slice(spec: FieldSpec, n: int, T: tuple[int, ...]) -> bool:
     """Whether the sorted set T separates, scanned on the slice of min T = 1.
 
     A T without 1 does not separate, and is not scanned: the zero orbit and
-    (0, ..., 0, 1) agree on every s_t with t >= 2.
+    (0, ..., 0, 1) agree on every s_t with t >= 2. Nor is a T that a kept
+    verdict decides (see _slices); any other T is scanned, its verdict kept.
     """
-    return T[:1] == (1,) and _separates(_slices(spec, n), _projector(T))
+    if T[:1] != (1,):
+        return False
+    rows, failed, separating = _slices(spec, n)
+    key = frozenset(T)
+    if any(map(key.issubset, failed)):
+        return False
+    if any(map(key.issuperset, separating)):
+        return True
+    verdict = _separates(rows, _projector(T))
+    (separating if verdict else failed).append(key)
+    return verdict
 
 
 def check_separating(spec: FieldSpec, n: int, indices: Iterable[int]) -> SeparationVerdict:

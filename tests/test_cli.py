@@ -760,6 +760,19 @@ def test_minsep_walks_once(capsys, monkeypatch):
     assert len(walks) == 1
 
 
+def test_minsep_decides_each_set_once(capsys, monkeypatch):
+    # the drop-ones of {1..5} with 1 in them, four scans: E = (1, 2, 3, 4) and
+    # check_minimal of the scaled set (1, ..., 5) are answered by kept verdicts
+    scanned = []
+    scan = separating._separates
+    monkeypatch.setattr(separating, "_separates",
+                        lambda rows, project: scanned.append(project) or scan(rows, project))
+    separating._slices.cache_clear()
+    rc, lines = run(capsys, "minsep", "--q", "8", "--n", "5")
+    assert (rc, lines[2]) == (0, "8,5,4,4,true,1|2|3|4,5,5")
+    assert len(scanned) == 4
+
+
 @pytest.mark.parametrize("fault, message", [
     ("drop_last", "the slice rebuilds 81 orbits, not 84"),
     ("no_witness", "32 fingerprints for 84 orbits, but no collision found"),

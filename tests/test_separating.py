@@ -552,25 +552,75 @@ def test_slice_verdicts_match_every_row_on_larger_cells(cell, rng):
     assert _separates_on_slice(spec, n, T) == separating._separates(values, _projector(T))
 
 
-def test_candidates_scan_only_their_slice(monkeypatch):
+def _count_scans(monkeypatch):
     scanned = []
     scan = separating._separates
     monkeypatch.setattr(separating, "_separates",
                         lambda rows, project: scanned.append(len(rows)) or scan(rows, project))
+    return scanned
+
+
+def test_candidates_scan_only_their_slice(monkeypatch, fresh_walk):
+    scanned = _count_scans(monkeypatch)
     F16 = gf.field_for_order(16)
-    # gamma = 3: (1, 2, 3), (1, 2, 4) and (1, 3, 4) on the 516 rows of t0 = 1
-    # of 3876 orbits, then (1, 2, 3, 4); (2, 3, 4) cannot separate
+    # the drop-ones (1, 3, 4), (1, 2, 4) and (1, 2, 3) of {1..4} fail on the
+    # 516 rows of t0 = 1 of 3876 orbits, and (2, 3, 4) cannot separate, so
+    # E = (1, 2, 3, 4) is tried next: four scans
     assert min_separating_size(F16, 4) == (4, (1, 2, 3, 4))
     assert scanned == [516] * 4
     scanned.clear()
-    # (2, 3, 4) is not scanned
+    # every verdict is kept: no scan
     assert check_minimal(F16, 4, (1, 2, 3, 4)) == (True, [])
-    assert scanned == [516] * 4
-    scanned.clear()
-    # over F_7 at n = 5: 132 rows of 462 orbits, and (2, 3, 4, 5) is not scanned
+    assert scanned == []
+    # over F_7 at n = 5, with no verdict kept: 132 rows of 462 orbits, and
+    # (2, 3, 4, 5) is not scanned
     assert check_minimal(gf.field_for_order(7), 5, (1, 2, 3, 4, 5)) == (False, [5])
     assert scanned == [132] * 5
-    assert len(_slices(F16, 4)) == 516 and orbit_count(16, 4) == 3876
+    assert len(_slices(F16, 4)[0]) == 516 and orbit_count(16, 4) == 3876
+
+
+@pytest.mark.parametrize("q,n,redundant", [(8, 5, [5]), (8, 10, [5, 10]), (4, 8, [])])
+def test_check_minimal_after_the_search_reads_kept_verdicts(monkeypatch, fresh_walk,
+                                                            q, n, redundant):
+    # the scaled set holds the witness, which the search saw separate; each of
+    # its drop-ones lacks 1, lies inside a drop-one of {1..n} that failed, or
+    # holds the witness (at (8, 10), the scaled set minus 5 or 10)
+    spec = gf.field_for_order(q)
+    scanned = _count_scans(monkeypatch)
+    min_separating_size(spec, n)
+    scanned.clear()
+    assert check_minimal(spec, n, index_set_nq(n, q, spec.p)) == (not redundant, redundant)
+    assert scanned == []
+
+
+KEPT_VERDICT_CELLS = LARGER_SLICE_CELLS + [(q, n) for q, n in GRID_CELLS
+                                           if n <= 6 and orbit_count(q, n) <= 2000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KEPT_VERDICT_CELLS), st.randoms(use_true_random=False))
+def test_kept_verdicts_are_sound(cell, rng):
+    # a sequence of sets, half of them an earlier one with one index toggled,
+    # so that many are answered by inclusion; a kept verdict or a scan, every
+    # answer is the oracle's, and no set is scanned twice
+    q, n = cell
+    spec = gf.field_for_order(q)
+    values = [v for _, v in naive_rows(spec, n)]
+    sets = []
+    for _ in range(12):
+        if sets and rng.random() < 0.5:
+            T = set(rng.choice(sets)) ^ {rng.randint(1, n)}
+        else:
+            T = rng.sample(range(1, n + 1), rng.randint(1, n))
+        sets.append(tuple(sorted(T)))
+    want = [separating._separates(values, _projector(T)) for T in sets]
+    _slices.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        scanned = _count_scans(mp)
+        assert [_separates_on_slice(spec, n, T) for T in sets] == want, (q, n, sets)
+        done = len(scanned)
+        assert [_separates_on_slice(spec, n, T) for T in sets] == want
+    assert len(scanned) == done <= len(set(sets))
 
 
 @pytest.mark.parametrize("q,n", [(q, n) for q, n in GRID_CELLS if n >= 2])
