@@ -11,11 +11,16 @@ lexicographic order. Level k is built from level k - 1 (Knuth, TAOCP 4A,
 part M' whose first entry is >= y, a suffix of the level (its first entries
 ascend), found by one bisection; y ascending, then M', is lexicographic
 order again. Child y has s'_t = s_t + y s_{t-1} (s_0 = 1), from the
-parent's values and the field's tables. A level whose parts outnumber q - 1
-per value is built by columns, s'_t of a whole suffix in one pass for each y
-and t; a thinner one (q = 2 and 3 throughout) by rows, one pass over each
-part's values. A level below n keeps its values until the next level is
-built; level n streams one y at a time.
+parent's values and the field's tables. For q * q <= 256 (q <= 16) a level
+is one bytes block, a row (1, s_1, ..., s_k, 0, ..., 0) of n + 1 bytes per
+part, and the children by y of a whole suffix are one step: read as an int
+a, a + (q a << 8) holds s_t + q s_{t-1} in byte t, never carrying since
+every byte is < q, and bytes.translate with FieldSpec.steps[y] maps it to
+s_t + y s_{t-1}. Fingerprints are read from a block by columns, or by rows
+where its parts are no more than |T|. For q >= 17 a level is a list per
+value, s'_t of a whole suffix one comprehension for each y and t. A level
+below n keeps its values until the next level is built; level n streams one
+y at a time.
 
 The slice, a result of this package rather than of the paper: let t0 = min
 T, g = gcd(t0, q - 1), H the t0-th powers of the units, which are the g-th
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -72,8 +77,8 @@ from sepsym.orbits import enumerate_orbits
 MAX_SUBSET_SEARCH_N = 16
 # A bound on orbit_count(q, n) x |T| (x n for the walk that _slices keeps):
 # the fingerprints a check may store, counted for every orbit. It does not
-# count the walk's level n - 1, held whole, by columns where it is wide, while
-# level n streams.
+# count the walk's level n - 1, held whole while level n streams: 1 byte per
+# value for q <= 16, a list entry per value above.
 MAX_STORE_CELLS = 16_000_000
 
 
@@ -104,8 +109,8 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
     its inputs first (_gate).
     """
     q, t0 = spec.q, idx[0] if cs else 0
-    if n == 1:  # no product: s_1 is the orbit itself, and the tables stay unbuilt
-        yield [v * len(idx) for v in _cut([(x,) for x in range(q)], cs, 0)]
+    if n == 1:  # no product: s_1 is the orbit itself, and no table is built
+        yield [(x,) * len(idx) for x in range(q) if not cs or x in cs]
         return
     add_t, mul_t = spec.tables
 
@@ -114,88 +119,100 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         return enumerate(map(bisect_left, itertools.repeat(firsts), range(1, firsts[-1] + 1)), 1) \
             if firsts else ()
 
-    def wide(k, width):
-        # whether level k is held by columns: once its parts, binom(k + q - 2,
-        # q - 2), outnumber q - 1 per value it computes. The parts per value
-        # only grow with k for q >= 4 and never pass q - 1 for q <= 3, so a
-        # walk switches from rows to columns once or never.
-        return math.comb(k + q - 2, q - 2) > (q - 1) * width
+    if q * q <= 256:
+        # a level is one bytes block, row j the part's (1, s_1, ..., s_k, 0, ..., 0)
+        w, step, get = n + 1, spec.steps, itemgetter(*idx) if len(idx) > 1 else None
 
-    def columns(rows):  # [None, s_1, ..., s_k] of a level held by rows
-        return [None, *map(list, zip(*rows))]
+        def child(block, y, i):
+            # the rows of the children by y of the parts from the i-th on: byte t
+            # of a + (q a << 8) is s_t + q s_{t-1} <= q * q - 1, which step[y]
+            # maps to s_t + y s_{t-1}; byte 0 of a row reads s_n of the row
+            # before, 0, so s_0 stays 1. A block is stepped only below level n,
+            # where it ends in s_n = 0, so the sum fits in its length (to_bytes
+            # raises, and never wraps, if it did not).
+            size = len(block) - i * w
+            a = int.from_bytes(block[i * w:], "little")
+            return (a + (q * a << 8)).to_bytes(size, "little").translate(step[y])
 
-    def column(s, t, y, i):
-        # s'_t = s_t + y s_{t-1} of the children by y of the parts from the i-th
-        # on, s[t] the parts' column of s_t, s_0 = 1 and s_t = 0 past the last
-        my = mul_t[y]
-        if t == 1:
-            plus_y = add_t[y]
-            return [plus_y[a] for a in s[1][i:]]
-        if t == len(s):
-            return [my[b] for b in s[t - 1][i:]]
-        return [add_t[a][my[b]] for a, b in zip(s[t][i:], s[t - 1][i:])]
+        def col(block, t):  # s_t of every part, s_0 = 1 and s_t = 0 past the level
+            return block[t::w]
 
-    def child(r, my):  # the row of a part's child by y, my the row of y in mul_t
-        row, b = [], 1
-        for a in r:
-            row.append(add_t[a][my[b]])
-            b = a
-        row.append(my[b])
-        return tuple(row)
+        def grow(block, starts):
+            return b"".join([child(block, y, i) for y, i in starts])
+
+        def fingerprints(block, m):  # by columns, or by rows where the rows are few
+            if get is None or m > len(idx):
+                return zip(*[col(block, t) for t in idx]) if idx else itertools.repeat((), m)
+            return [get(block[j:j + w]) for j in range(0, len(block), w)]
+
+        def children(block, y, i, m):
+            return fingerprints(child(block, y, i), m - i)
+
+        def part(block, keep):
+            return b"".join([block[j * w:(j + 1) * w] for j in keep])
+
+        level = b"".join([bytes((1, x)) + bytes(n - 1) for x in range(1, q)])
+    else:
+        # a level is a list of columns [None, s_1, ..., s_k], s_t the s_t of every part
+        def column(s, t, y, i):
+            # s'_t = s_t + y s_{t-1} of the children by y of the parts from the i-th on
+            my = mul_t[y]
+            if t == 1:
+                plus_y = add_t[y]
+                return [plus_y[a] for a in s[1][i:]]
+            if t == len(s):
+                return [my[b] for b in s[t - 1][i:]]
+            return [add_t[a][my[b]] for a, b in zip(s[t][i:], s[t - 1][i:])]
+
+        def col(s, t):  # s_t of every part, s_0 = 1 and s_t = 0 past the level
+            return s[t] if 0 < t < len(s) else [int(t == 0)] * len(s[1])
+
+        def grow(s, starts):  # s holds s_1, ..., s_k, and the next level one more
+            return [None, *[list(itertools.chain.from_iterable(
+                column(s, t, y, i) for y, i in starts)) for t in range(1, len(s) + 1)]]
+
+        def fingerprints(s, m):
+            zeros = [0] * m
+            return zip(*[s[t] if t < len(s) else zeros for t in idx]) if idx else \
+                itertools.repeat((), m)
+
+        def children(s, y, i, m):
+            return zip(*[column(s, t, y, i) for t in idx]) if idx else itertools.repeat((), m - i)
+
+        def part(s, keep):
+            return [None, *[[c[j] for j in keep] for c in s[1:]]]
+
+        level = [None, list(range(1, q))]
 
     yield [(0,) * len(idx)]  # the zero orbit, whose s_t0 = 0 is in cs
     # level k: firsts, the least entry of each nonzero part of length k,
-    # ascending, and the parts' values, by rows (s_1, ..., s_k) or, once rows
-    # is None, by columns s[t], the s_t of every part
-    firsts, rows, s = list(range(1, q)), [(x,) for x in range(1, q)], None
+    # ascending, and level, the parts' values in one of the two forms above
+    firsts = list(range(1, q))
     in_cs = frozenset(cs).__contains__
     for k in range(1, n):
         if k > 1:
-            if rows is not None and wide(k, k):
-                s, rows = columns(rows), None
             starts = list(spans(firsts))
             firsts = list(itertools.chain.from_iterable(
                 itertools.repeat(y, len(firsts) - i) for y, i in starts))
-            if rows is None:
-                s = [None, *[list(itertools.chain.from_iterable(
-                    column(s, t, y, i) for y, i in starts)) for t in range(1, k + 1)]]
-            else:
-                rows = [child(r, mul_t[y]) for y, i in starts for r in rows[i:]]
-        if rows is None:
-            zeros = [0] * len(firsts)
-            fps = zip(*[s[t] if t <= k else zeros for t in idx]) if idx else \
-                itertools.repeat((), len(firsts))
-            yield itertools.compress(fps, map(in_cs, s[t0])) if 0 < t0 <= k else fps
-        else:
-            cut_k = bisect_right(idx, k)
-            project, pad = _projector(idx[:cut_k]), (0,) * (len(idx) - cut_k)
-            # for t0 > k, s_t0 = 0 is in cs
-            yield [project(r) + pad for r in _cut(rows, cs if t0 <= k else (), t0 - 1)]
+            level = grow(level, starts)
+        fps = fingerprints(level, len(firsts))
+        # for t0 > k, s_t0 = 0 is in cs
+        yield itertools.compress(fps, map(in_cs, col(level, t0))) if 0 < t0 <= k else fps
     # level n computes the values of idx
-    if rows is not None and (cs or wide(n, len(idx))):
-        s, rows = columns(rows), None
-    if not cs:  # every child of every part, y ascending
-        project = _projector(idx)
-        for y, i in spans(firsts):
-            if rows is not None:
-                yield [project(child(r, mul_t[y])) for r in rows[i:]]
-            else:
-                yield zip(*[column(s, t, y, i) for t in idx]) if idx else \
-                    itertools.repeat((), len(firsts) - i)
-        return
-    # under a slice, by columns: a part's child y has s'_t0 = e + y d, with
-    # e = s_t0 and d = s_{t0-1}
     m = len(firsts)
-    cols = [[1] * m, *s[1:], [0] * m]
+    if not cs:  # every child of every part, y ascending
+        for y, i in spans(firsts):
+            yield children(level, y, i, m)
+        return
+    # under a slice: a part's child y has s'_t0 = e + y d, with e = s_t0 and
+    # d = s_{t0-1}
+    cols = {t: col(level, t) for t in {*idx, *[t - 1 for t in idx]}}
     d, e = cols[t0 - 1], cols[t0]
-    need = {*idx, *[t - 1 for t in idx]}
     if t0 > 1:  # where d = 0 every child y <= first has s'_t0 = e: all or none
         keep = [j for j in range(m) if not d[j] and in_cs(e[j])]
-        sub = [None, *[[col[j] for j in keep] if t in need else None
-                       for t, col in enumerate(s[1:], 1)]]
-        sub_firsts = [firsts[j] for j in keep]
+        sub, sub_firsts = part(level, keep), [firsts[j] for j in keep]
         for y, i in spans(sub_firsts):
-            yield zip(*[column(sub, t, y, i) for t in idx])
+            yield children(sub, y, i, len(keep))
         exp, log = spec.logs
         inv = [0, *[exp[-i % (q - 1)] for i in log[1:]]]  # 1/0 read as 0
         over = [mul_t[inv[x]] for x in d]
@@ -205,15 +222,9 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         ys = [o[minus[x]] for o, x in zip(over, e)] if t0 > 1 else [minus[x] for x in e]
         sel = [j for j, y, f in zip(range(m), ys, firsts) if 0 < y <= f]
         my = [mul_t[ys[j]] for j in sel]
-        picked = {t: [cols[t][j] for j in sel] for t in need}
+        picked = {t: [c_t[j] for j in sel] for t, c_t in cols.items()}
         yield zip(*[[add_t[a][r[b]] for a, b, r in zip(picked[t], picked[t - 1], my)]
                     for t in idx])
-
-
-def _cut(rows, cs, col: int):
-    """The rows whose entry col, s_t0, lies in cs; rows itself when cs is empty."""
-    in_cs = frozenset(cs).__contains__
-    return list(itertools.compress(rows, map(in_cs, map(itemgetter(col), rows)))) if cs else rows
 
 
 def _projector(idx: tuple[int, ...]):

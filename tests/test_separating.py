@@ -31,7 +31,7 @@ from support import (
     naive_rows,
 )
 
-TABLE_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256)
+TABLE_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 32, 49, 64, 81, 125, 128, 243, 256)
 
 # Fields with list table rows at every n with at most 2000 orbits; F_2 with
 # long vectors; fields above 256, whose table rows are arrays, at n <= 2.
@@ -206,16 +206,18 @@ def test_exhaustive_small_subsets_q2_n4():
 
 
 def test_walks_without_products_leave_tables_unbuilt():
-    # a fresh instance, so that no earlier test has built its tables
-    spec = gf.FieldSpec(2, 10, gf.field_for_order(1024).modulus)
-    assert sum(1 for _ in enumerate_orbits(spec, 2)) == orbit_count(1024, 2)
-    assert check_separating(spec, 1, (1,)).separating
-    assert min_separating_size(spec, 1) == (1, (1,))
-    assert esym_all((5,), spec) == (5,)
-    assert "tables" not in vars(spec)
-    assert "logs" not in vars(spec)
-    assert esym_all((5, 7), spec) == (spec.add(5, 7), spec.mul(5, 7))
-    assert "tables" in vars(spec)
+    # fresh instances, so that no earlier test has built their tables; F_16
+    # walks its levels as bytes blocks, with step tables of its own
+    for q in (1024, 16):
+        spec = gf.FieldSpec(2, q.bit_length() - 1, gf.field_for_order(q).modulus)
+        assert sum(1 for _ in enumerate_orbits(spec, 2)) == orbit_count(q, 2)
+        assert check_separating(spec, 1, (1,)).separating
+        assert min_separating_size(spec, 1) == (1, (1,))
+        assert esym_all((5,), spec) == (5,)
+        assert "tables" not in vars(spec) and "steps" not in vars(spec)
+        assert "logs" not in vars(spec)
+        assert esym_all((5, 7), spec) == (spec.add(5, 7), spec.mul(5, 7))
+        assert "tables" in vars(spec)
 
 
 @pytest.mark.parametrize("search, cells", [
@@ -226,16 +228,18 @@ def test_walks_without_products_leave_tables_unbuilt():
 def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search, cells):
     # (4, 6) has 84 orbits; the walk of check_minimal and min_separating_size
     # keeps all n = 6 values of each. One entry under orbits x |T| is refused
-    # before a fresh instance builds its tables or logs; at the bound it runs.
+    # before a fresh instance builds its tables, logs or step tables; at the
+    # bound it runs, and its walk builds the step tables of F_4.
     spec = gf.FieldSpec(2, 2, gf.field_for_order(4).modulus)
     monkeypatch.setattr(separating, "MAX_STORE_CELLS", cells - 1)
     with pytest.raises(ScaleError, match=f"84 orbits x {cells // 84} indices exceed the "
                                          f"fingerprint store bound of {cells - 1} entries"):
         search(spec)
     assert "tables" not in vars(spec) and "logs" not in vars(spec)
+    assert "steps" not in vars(spec)
     monkeypatch.setattr(separating, "MAX_STORE_CELLS", cells)
     search(spec)
-    assert "tables" in vars(spec)
+    assert "tables" in vars(spec) and "steps" in vars(spec)
 
 
 @pytest.mark.parametrize("search", [
@@ -253,13 +257,14 @@ def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search,
 def test_the_walk_inputs_are_refused_first(fresh_walk, search, q, n, error, message):
     # The walk does not check n or the orbit count itself: each entry point
     # refuses n = 0, and binom(47, 31) > MAX_ORBITS orbits at (32, 16), before
-    # a fresh instance builds its tables or logs, and before it checks the
-    # indices, so that n = 0 with T = {1} names n, not the index.
+    # a fresh instance builds its tables, logs or step tables, and before it
+    # checks the indices, so that n = 0 with T = {1} names n, not the index.
     base = gf.field_for_order(q)
     spec = gf.FieldSpec(base.p, base.k, base.modulus)
     with pytest.raises(error, match=f"^{message}$"):
         search(spec, n)
     assert "tables" not in vars(spec) and "logs" not in vars(spec)
+    assert "steps" not in vars(spec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,12 +277,25 @@ def test_orbit_rows_match_esym_all(cell):
     assert list(zip(enumerate_orbits(spec, n), rows, strict=True)) == want
 
 
-# Levels held by rows (q = 2 and 3 throughout, q = 4 up to level 2, every
-# field at level 1) and by columns. The examples draw t0 > 1 with g > 1,
-# where level n has parts with s_{t0-1} = 0 ((7, 6) with t0 = 2, (13, 5)
-# with t0 = 4), the same at t0 = n ((7, 3) with t0 = 3), and a row-held
-# level n - 1 under a slice ((3, 30) with t0 = 1).
+# Levels held as bytes blocks (q <= 16), read by columns or, where the parts
+# are few (q = 2 and 3 throughout), by rows, and as list columns (q >= 17).
+# The examples draw t0 > 1 with g > 1, where level n has parts with
+# s_{t0-1} = 0 ((7, 6) with t0 = 2, (13, 5) with t0 = 4, (17, 3) with
+# t0 = 2 on list columns), the same at t0 = n ((7, 3) with t0 = 3), a slice
+# whose levels are read by rows up to level 14, then by columns ((3, 30)
+# with t0 = 1 and 15 indices), q = 16, whose step tables fill all 256 bytes
+# ((16, 5) with t0 = 2), and every index of a 40-long vector, read by rows.
 STREAM_CELLS = [(q, n) for q in TABLE_ORDERS for n in range(1, 41) if orbit_count(q, n) <= 2000]
+
+
+class _EveryIndex(random.Random):
+    """Draws t0 = 1 and keeps every index after it."""
+
+    def choice(self, seq):
+        return seq[0]
+
+    def random(self):
+        return 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,6 +304,9 @@ STREAM_CELLS = [(q, n) for q in TABLE_ORDERS for n in range(1, 41) if orbit_coun
 @example((13, 5), random.Random(9))
 @example((7, 3), random.Random(0))
 @example((3, 30), random.Random(2))
+@example((16, 5), random.Random(3))
+@example((17, 3), random.Random(9))
+@example((2, 40), _EveryIndex())
 def test_sliced_stream_matches_naive_rows(cell, rng):
     # as a multiset, the stream for t0 = min idx is every orbit whose s_t0
     # lies in the slice set cs (every orbit when cs is empty), projected to idx
@@ -649,6 +670,7 @@ def test_check_minimal_without_1_builds_nothing():
     with pytest.raises(NotSeparatingError):
         check_minimal(spec, 6, (2, 3, 4, 5, 6))
     assert "tables" not in vars(spec) and "logs" not in vars(spec)
+    assert "steps" not in vars(spec)
 
 
 def _minsep(q, n):
