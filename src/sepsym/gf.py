@@ -14,10 +14,8 @@ multiplication table, both built the first time a sum or product is asked
 for (FieldSpec.tables). Making a field, enumerating orbits and any walk at
 n = 1 never build them. Products and inverses come from the discrete logs
 of one generator g of the units (FieldSpec.logs; Lidl & Niederreiter,
-Finite Fields), sums digit by digit from the table of F_p. A field with
-q * q <= 256 also keeps FieldSpec.steps, the 256-byte bytes.translate
-tables that the orbit walk steps its levels with, built from the tables
-when a walk first needs them.
+Finite Fields), sums digit by digit from the table of F_p. The orbit
+walk's step tables are its own (separating._steps), built from these.
 
 Rows are lists up to q = TABLE_MAX_ORDER and array('H') above it; the two
 tables of F_1024 take about 4.4 MB. The discrete logs are lists at every
@@ -159,16 +157,6 @@ class FieldSpec:
         mul_rows = [as_row([0] * q)]
         mul_rows += [as_row(gather([0, *exp2[log[a]:log[a] + q - 1]])) for a in range(1, q)]
         return add_rows, mul_rows
-
-    @cached_property
-    def steps(self):
-        """For q * q <= 256, tables for bytes.translate: steps[y][a + q * b] indexes a + y * b.
-
-        Built from tables the first time a walk asks, and kept like them.
-        """
-        add_rows, mul_rows = self.tables
-        return [b"".join([bytes(add_rows[x]) for x in mul_rows[y]]).ljust(256, b"\0")
-                for y in range(self.q)]
 
     @cached_property
     def logs(self):

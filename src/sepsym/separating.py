@@ -15,12 +15,13 @@ parent's values and the field's tables. For q * q <= 256 (q <= 16) a level
 is one bytes block, a row (1, s_1, ..., s_k, 0, ..., 0) of n + 1 bytes per
 part, and the children by y of a whole suffix are one step: read as an int
 a, a + (q a << 8) holds s_t + q s_{t-1} in byte t, never carrying since
-every byte is < q, and bytes.translate with FieldSpec.steps[y] maps it to
-s_t + y s_{t-1}. Fingerprints are read from a block by columns, or by rows
-where its parts are no more than |T|. For q >= 17 a level is a list per
-value, s'_t of a whole suffix one comprehension for each y and t. A level
-below n keeps its values until the next level is built; level n streams one
-y at a time.
+every byte is < q, and bytes.translate with _steps(spec)[y] maps it to
+s_t + y s_{t-1}. For q >= 17 a level is a list per value, s'_t of a whole
+suffix one comprehension for each y and t. A form gives only its step, its
+column read and its join; fingerprints are read by columns, or by rows from
+a block with no more parts than |T|. A level below n is kept until the next
+is built. Level n has two routes: unsliced it streams one y at a time, each
+y's suffix grown alone; under a slice it is solved, as below.
 
 The slice, a result of this package rather than of the paper: let t0 = min
 T, g = gcd(t0, q - 1), H the t0-th powers of the units, which are the g-th
@@ -35,8 +36,9 @@ at s_t0 = 0 plus h times their count at s_t0 in R. The walk only streams
 the slice's fingerprints, whose first entry is s_t0; check_separating
 rebuilds both counts from them by that rule and checks the orbit count
 against binom(n+q-1, q-1). At level n a part has at most |S| children in
-it, y = (c - s_t0) / s_{t0-1} with 1 <= y <= its first entry, or all or
-none if s_{t0-1} = 0, solved for all parts at once. For g = 1 the slice is
+it, y = (c - s_t0) / s_{t0-1} with 1 <= y <= its first entry, or, if
+s_{t0-1} = 0, every y <= its first entry or none; both are solved for all
+parts at once by the same list arithmetic. For g = 1 the slice is
 s_t0 in {0, 1}; for h = 1 (q = 2, T empty, or (q - 1) | t0) it is every
 orbit, kept whole.
 
@@ -100,6 +102,17 @@ def _gate(spec: FieldSpec, n: int, indices: Iterable[int], kept=False) -> tuple[
     return idx
 
 
+@lru_cache(maxsize=16)
+def _steps(spec: FieldSpec) -> tuple[bytes, ...]:
+    """For q * q <= 256, the walk's bytes.translate tables: [y][a + q * b] indexes a + y * b.
+
+    Built from the field's tables on the first walk that needs them, and kept.
+    """
+    add_rows, mul_rows = spec.tables
+    return tuple(b"".join([bytes(add_rows[x]) for x in mul_rows[y]]).ljust(256, b"\0")
+                 for y in range(spec.q))
+
+
 def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
                    ) -> Iterator[Iterable[tuple[int, ...]]]:
     """Stream the fingerprints (s_t for t in idx) of the orbits with s_t0 in cs, t0 = idx[0].
@@ -108,7 +121,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
     below n, then level n by its least entry y. The caller counts, and checks
     its inputs first (_gate).
     """
-    q, t0 = spec.q, idx[0] if cs else 0
+    q, t0, w = spec.q, idx[0] if cs else 0, n + 1
     if n == 1:  # no product: s_1 is the orbit itself, and no table is built
         yield [(x,) * len(idx) for x in range(q) if not cs or x in cs]
         return
@@ -116,12 +129,11 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
 
     def spans(firsts):
         # (y, i) for y = 1, ..., firsts[-1]: y goes before the parts from the i-th on
-        return enumerate(map(bisect_left, itertools.repeat(firsts), range(1, firsts[-1] + 1)), 1) \
-            if firsts else ()
+        return enumerate(map(bisect_left, itertools.repeat(firsts), range(1, firsts[-1] + 1)), 1)
 
     if q * q <= 256:
         # a level is one bytes block, row j the part's (1, s_1, ..., s_k, 0, ..., 0)
-        w, step, get = n + 1, spec.steps, itemgetter(*idx) if len(idx) > 1 else None
+        step = _steps(spec)
 
         def child(block, y, i):
             # the rows of the children by y of the parts from the i-th on: byte t
@@ -139,17 +151,6 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
 
         def grow(block, starts):
             return b"".join([child(block, y, i) for y, i in starts])
-
-        def fingerprints(block, m):  # by columns, or by rows where the rows are few
-            if get is None or m > len(idx):
-                return zip(*[col(block, t) for t in idx]) if idx else itertools.repeat((), m)
-            return [get(block[j:j + w]) for j in range(0, len(block), w)]
-
-        def children(block, y, i, m):
-            return fingerprints(child(block, y, i), m - i)
-
-        def part(block, keep):
-            return b"".join([block[j * w:(j + 1) * w] for j in keep])
 
         level = b"".join([bytes((1, x)) + bytes(n - 1) for x in range(1, q)])
     else:
@@ -171,18 +172,14 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
             return [None, *[list(itertools.chain.from_iterable(
                 column(s, t, y, i) for y, i in starts)) for t in range(1, len(s) + 1)]]
 
-        def fingerprints(s, m):
-            zeros = [0] * m
-            return zip(*[s[t] if t < len(s) else zeros for t in idx]) if idx else \
-                itertools.repeat((), m)
-
-        def children(s, y, i, m):
-            return zip(*[column(s, t, y, i) for t in idx]) if idx else itertools.repeat((), m - i)
-
-        def part(s, keep):
-            return [None, *[[c[j] for j in keep] for c in s[1:]]]
-
         level = [None, list(range(1, q))]
+
+    get = itemgetter(*idx) if len(idx) > 1 else None
+
+    def fingerprints(level, m):  # by columns, or by rows for a thin bytes block
+        if get is not None and m <= len(idx) and isinstance(level, bytes):
+            return [get(level[j:j + w]) for j in range(0, len(level), w)]
+        return zip(*[col(level, t) for t in idx]) if idx else itertools.repeat((), m)
 
     yield [(0,) * len(idx)]  # the zero orbit, whose s_t0 = 0 is in cs
     # level k: firsts, the least entry of each nonzero part of length k,
@@ -202,17 +199,22 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
     m = len(firsts)
     if not cs:  # every child of every part, y ascending
         for y, i in spans(firsts):
-            yield children(level, y, i, m)
+            yield fingerprints(grow(level, ((y, i),)), m - i)
         return
     # under a slice: a part's child y has s'_t0 = e + y d, with e = s_t0 and
     # d = s_{t0-1}
     cols = {t: col(level, t) for t in {*idx, *[t - 1 for t in idx]}}
     d, e = cols[t0 - 1], cols[t0]
+
+    def solved(sel, my):  # the fingerprints of the child of part sel[r] by my[r] = mul_t[y]
+        picked = {t: [c_t[j] for j in sel] for t, c_t in cols.items()}
+        return zip(*[[add_t[a][r[b]] for a, b, r in zip(picked[t], picked[t - 1], my)]
+                     for t in idx])
+
     if t0 > 1:  # where d = 0 every child y <= first has s'_t0 = e: all or none
-        keep = [j for j in range(m) if not d[j] and in_cs(e[j])]
-        sub, sub_firsts = part(level, keep), [firsts[j] for j in keep]
-        for y, i in spans(sub_firsts):
-            yield children(sub, y, i, len(keep))
+        zero = [j for j in range(m) if not d[j] and in_cs(e[j])]
+        yield solved([j for j in zero for _ in range(firsts[j])],
+                     [mul_t[y] for j in zero for y in range(1, firsts[j] + 1)])
         exp, log = spec.logs
         inv = [0, *[exp[-i % (q - 1)] for i in log[1:]]]  # 1/0 read as 0
         over = [mul_t[inv[x]] for x in d]
@@ -221,10 +223,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         minus = [add_t[c][x] for x in neg]  # minus[e] = c - e
         ys = [o[minus[x]] for o, x in zip(over, e)] if t0 > 1 else [minus[x] for x in e]
         sel = [j for j, y, f in zip(range(m), ys, firsts) if 0 < y <= f]
-        my = [mul_t[ys[j]] for j in sel]
-        picked = {t: [c_t[j] for j in sel] for t, c_t in cols.items()}
-        yield zip(*[[add_t[a][r[b]] for a, b, r in zip(picked[t], picked[t - 1], my)]
-                    for t in idx])
+        yield solved(sel, [mul_t[ys[j]] for j in sel])
 
 
 def _projector(idx: tuple[int, ...]):

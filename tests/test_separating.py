@@ -205,17 +205,17 @@ def test_exhaustive_small_subsets_q2_n4():
     assert min_separating_size(F2, 4) == (3, (1, 2, 4))
 
 
-def test_walks_without_products_leave_tables_unbuilt():
+def test_walks_without_products_leave_tables_unbuilt(fresh_steps):
     # fresh instances, so that no earlier test has built their tables; F_16
-    # walks its levels as bytes blocks, with step tables of its own
+    # walks its levels as bytes blocks, stepped by tables that _steps builds
     for q in (1024, 16):
         spec = gf.FieldSpec(2, q.bit_length() - 1, gf.field_for_order(q).modulus)
         assert sum(1 for _ in enumerate_orbits(spec, 2)) == orbit_count(q, 2)
         assert check_separating(spec, 1, (1,)).separating
         assert min_separating_size(spec, 1) == (1, (1,))
         assert esym_all((5,), spec) == (5,)
-        assert "tables" not in vars(spec) and "steps" not in vars(spec)
-        assert "logs" not in vars(spec)
+        assert "tables" not in vars(spec) and "logs" not in vars(spec)
+        assert _steps_built() == 0
         assert esym_all((5, 7), spec) == (spec.add(5, 7), spec.mul(5, 7))
         assert "tables" in vars(spec)
 
@@ -225,7 +225,8 @@ def test_walks_without_products_leave_tables_unbuilt():
     (lambda F: min_separating_size(F, 6), 84 * 6),
     (lambda F: check_minimal(F, 6, (1, 2, 3, 4, 6)), 84 * 6),
 ], ids=["check_separating", "min_separating_size", "check_minimal"])
-def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search, cells):
+def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, fresh_steps, search,
+                                                cells):
     # (4, 6) has 84 orbits; the walk of check_minimal and min_separating_size
     # keeps all n = 6 values of each. One entry under orbits x |T| is refused
     # before a fresh instance builds its tables, logs or step tables; at the
@@ -236,10 +237,10 @@ def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search,
                                          f"fingerprint store bound of {cells - 1} entries"):
         search(spec)
     assert "tables" not in vars(spec) and "logs" not in vars(spec)
-    assert "steps" not in vars(spec)
+    assert _steps_built() == 0
     monkeypatch.setattr(separating, "MAX_STORE_CELLS", cells)
     search(spec)
-    assert "tables" in vars(spec) and "steps" in vars(spec)
+    assert "tables" in vars(spec) and _steps_built() == 1
 
 
 @pytest.mark.parametrize("search", [
@@ -254,7 +255,8 @@ def test_the_fingerprint_store_is_bounded_first(monkeypatch, fresh_walk, search,
     (4, 0, ParameterError, "n must be >= 1, got 0"),
     (32, 16, ScaleError, "1503232609098 orbits exceed the enumeration bound 10000000"),
 ], ids=["n=0", "above-MAX_ORBITS"])
-def test_the_walk_inputs_are_refused_first(fresh_walk, search, q, n, error, message):
+def test_the_walk_inputs_are_refused_first(fresh_walk, fresh_steps, search, q, n, error,
+                                           message):
     # The walk does not check n or the orbit count itself: each entry point
     # refuses n = 0, and binom(47, 31) > MAX_ORBITS orbits at (32, 16), before
     # a fresh instance builds its tables, logs or step tables, and before it
@@ -264,7 +266,7 @@ def test_the_walk_inputs_are_refused_first(fresh_walk, search, q, n, error, mess
     with pytest.raises(error, match=f"^{message}$"):
         search(spec, n)
     assert "tables" not in vars(spec) and "logs" not in vars(spec)
-    assert "steps" not in vars(spec)
+    assert _steps_built() == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,6 +277,19 @@ def test_orbit_rows_match_esym_all(cell):
     want = [(rep, esym_all(rep, spec)) for rep in enumerate_orbits(spec, n)]
     rows = itertools.chain.from_iterable(separating._orbit_batches(spec, n, tuple(range(1, n + 1))))
     assert list(zip(enumerate_orbits(spec, n), rows, strict=True)) == want
+
+
+@pytest.mark.parametrize("q", [q for q in TABLE_ORDERS if q * q <= 256])
+def test_step_tables_map_a_plus_q_b_to_a_plus_y_b(q):
+    # byte a + q b of table y is a + y b, and the bytes past q * q are 0
+    F = gf.field_for_order(q)
+    steps = separating._steps(F)
+    assert len(steps) == q
+    for y, table in enumerate(steps):
+        want = bytearray(256)
+        for a, b in itertools.product(range(q), repeat=2):
+            want[a + q * b] = F.add(a, F.mul(y, b))
+        assert len(table) == 256 and table == want
 
 
 # Levels held as bytes blocks (q <= 16), read by columns or, where the parts
@@ -664,13 +679,15 @@ def test_sets_without_1_do_not_separate(monkeypatch, q, n):
     assert scanned == []
 
 
-def test_check_minimal_without_1_builds_nothing():
+def test_check_minimal_without_1_builds_nothing(fresh_steps):
     # a fresh instance: the set cannot separate, and is refused with no walk
     spec = gf.FieldSpec(2, 2, gf.field_for_order(4).modulus)
     with pytest.raises(NotSeparatingError):
         check_minimal(spec, 6, (2, 3, 4, 5, 6))
     assert "tables" not in vars(spec) and "logs" not in vars(spec)
-    assert "steps" not in vars(spec)
+    assert _steps_built() == 0
+    assert check_minimal(spec, 6, (1, 2, 3, 4, 6)) == (True, [])
+    assert _steps_built() == 1
 
 
 def _minsep(q, n):
@@ -696,6 +713,16 @@ def fresh_walk():
     _slices.cache_clear()
     yield
     _slices.cache_clear()
+
+
+@pytest.fixture
+def fresh_steps():
+    separating._steps.cache_clear()
+
+
+def _steps_built():
+    """The fields whose step tables the walk built since fresh_steps cleared them."""
+    return separating._steps.cache_info().misses
 
 
 @pytest.mark.parametrize("search", [lambda F: min_separating_size(F, 6),
