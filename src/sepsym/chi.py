@@ -38,23 +38,26 @@ chi_rows sweeps q upward in one loop. chi and floor(ln ln q) come as runs
 the lower bound by bisection on lnln_floor). Each row estimates its root by
 the cubic extrapolation of the last four roots (each interpolated between
 its cell's two probes) from the fifth row on, and by a secant at (chi,
-chi+1) before. The loop probes the interior cell holding the estimate
-itself and yields the row when the probes straddle zero; on a miss, or at
-the cell at chi or chi+1, _cell gallops from the estimate. chi_table builds
-its records from those rows, and chi_record(q) is the one-row table, so it
-always starts cold. The start decides only how many probes are taken;
-every row equals chi_record's.
+chi+1) before. Above q = 64 the loop probes an extrapolated estimate's
+interior cell with two _stirling_gap calls, building no gap object, and
+yields the row when they straddle zero; every other row (cold, q <= 64, a
+miss, or the cell at chi or chi+1) takes _gap(q) to _cell, which gallops
+from the estimate. chi_table builds its records from those rows, and
+chi_record(q) is the one-row table, so it always starts cold. The start
+decides only how many probes are taken; every row equals chi_record's.
 
-Above q = 64 the gap takes Stirling's remainder s_q from one int quotient
-and two float products (_stirling_rest), equal bit for bit to the three
-exact int quotients it replaces wherever the tests check it: every q of
-the table's range and log-uniform q up to MAX_CHI_Q.
+Above q = 64 the gap is Stirling's series (_stirling_gap), its remainder
+s_q from one int quotient and two float products (_stirling_rest), equal
+bit for bit to the three exact int quotients it replaces wherever the
+tests check it: every q of the table's range and log-uniform q up to
+MAX_CHI_Q.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+from functools import partial
 from typing import NamedTuple
 
 from sepsym.errors import ParameterError
@@ -150,22 +153,26 @@ def _stirling_rest(q: int) -> float:
     return 1 / (12 * q) - 1.0 / (360.0 * f3) + 1.0 / (1260.0 * f3 * f * f)
 
 
+def _stirling_gap(q: int, ln_q: float, s_q: float, x: float) -> float:
+    """root_gap(q, x) by Stirling's series (Abramowitz & Stegun 6.1.41), for q > 64.
+
+    ln_q = log(q) and s_q = _stirling_rest(q) are the terms in q alone.
+    """
+    r = 1.0 / (q + x)
+    return (x + math.lgamma(x + 1.0) - ln_q - (q + x - 0.5) * math.log1p(x / q)
+            - (r * (1 / 12 - r * r * (1 / 360 - r * r / 1260)) - s_q))
+
+
 def _gap(q: int):
     """x -> root_gap(q, x), with the terms in q alone computed once.
 
     Neither form subtracts two numbers of size q*ln(q): a compensated sum up
-    to q = 64, Stirling's series (Abramowitz & Stegun 6.1.41) above it.
+    to q = 64, _stirling_gap above it.
     """
     ln_q = math.log(q)
     if q <= 64:
         return lambda x: (x - 1.0) * ln_q - math.fsum(math.log1p(x / i) for i in range(1, q))
-    s_q = _stirling_rest(q)
-
-    def gap(x: float) -> float:
-        r = 1.0 / (q + x)
-        return (x + math.lgamma(x + 1.0) - ln_q - (q + x - 0.5) * math.log1p(x / q)
-                - (r * (1 / 12 - r * r * (1 / 360 - r * r / 1260)) - s_q))
-    return gap
+    return partial(_stirling_gap, q, ln_q, _stirling_rest(q))
 
 
 def root_gap(q: int, x: float) -> float:
@@ -191,8 +198,8 @@ def _cell(gap, c: int, x_hat: float):
     cells off costs about 2*log2(d) probes. Like bisection, it never
     evaluates c or c+1. root lies in the cell: the zero of the line through
     the gap at its two ends, or the cell's midpoint when one end is c or c+1.
-    chi_rows probes an interior start cell itself and calls this on a miss
-    or at the cell at c or at c+1.
+    chi_rows probes an extrapolated interior start cell above q = 64 itself
+    and calls this for every other row and on a miss.
     """
     m = (x_hat - c) * _CELLS
     lo = int(m) if 1.0 <= m < _CELLS - 1 else (0 if m < 1.0 else _CELLS - 1)
@@ -323,8 +330,9 @@ def chi_rows(q_min: int, q_max: int):
     Plain tuples in ChiRecord's field order, from one upward sweep over the
     common runs of chi and the lower bound (chi_runs, lnln_runs). Each row
     starts from the root that _extrapolate gives from the last four rows'
-    roots, if it gives one, and else from the cold secant's estimate. The
-    loop probes an interior start cell itself; _cell takes the rest.
+    roots, if it gives one, and else from the cold secant's estimate. Above
+    q = 64 the loop probes an extrapolated interior start cell itself, with
+    no gap object; _cell takes the rest, and the misses, with _gap(q).
     """
     if q_min < 2 or q_min > q_max:
         raise ParameterError(f"require 2 <= q_min <= q_max, got [{q_min}, {q_max}]")
@@ -333,20 +341,19 @@ def chi_rows(q_min: int, q_max: int):
     r1 = r2 = r3 = r4 = None
     for lo, hi, c, k in common_runs(chi_runs(q_min, q_max), lnln_runs(q_min, q_max)):
         for q in range(lo, hi + 1):
-            gap = _gap(q)
             x_hat = None if r4 is None else _extrapolate(c, r1, r2, r3, r4)
-            if x_hat is None:
-                x_hat = _secant(gap, c)
-            m = (x_hat - c) * _CELLS
-            if 1.0 <= m < _CELLS - 1:  # an interior cell: most rows end at its two probes
-                x = c + int(m) * _CELL
-                g_lo, g_hi = gap(x), gap(x + _CELL)
+            # an estimate in an interior cell, above q = 64: most rows end at its two probes
+            m = (x_hat - c) * _CELLS if x_hat is not None and q > 64 else 0.0
+            if 1.0 <= m < _CELLS - 1:
+                ln_q, s_q, x = math.log(q), _stirling_rest(q), c + int(m) * _CELL
+                g_lo, g_hi = _stirling_gap(q, ln_q, s_q, x), _stirling_gap(q, ln_q, s_q, x + _CELL)
                 if g_lo < 0.0 <= g_hi:
                     # _from_cell's row: c < x and x + _CELL < c + 1, so no integer root
                     yield (q, c, x - _MARGIN, x + _CELL + _MARGIN, False, k)
                     r1, r2, r3, r4 = x + g_lo / (g_lo - g_hi) * _CELL, r1, r2, r3
                     continue
-            x_lo, x_hi, root = _cell(gap, c, x_hat)
+            gap = _gap(q)
+            x_lo, x_hi, root = _cell(gap, c, x_hat or _secant(gap, c))
             yield (q, c, *_from_cell(q, c, x_lo, x_hi), k)
             r1, r2, r3, r4 = root, r1, r2, r3
 

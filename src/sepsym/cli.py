@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE_CLOSED = 128 + 13  # 128 + SIGPIPE, as a shell reports it
-ROWS_PER_WRITE = 1024  # by TableWriter.rows, so a long run never builds one long string
+ROWS_PER_WRITE = 1024  # rows per write of a table, so a long run never builds one long string
 
 
 # ---------------------------------------------------------------- output --
@@ -237,8 +237,14 @@ def _cmd_chi_table(args, stream) -> int:
         writer.summary({"verified": True, "q_min": q_min, "q_max": q_max,
                         "count": q_max - q_min + 1})
         return EXIT_OK
-    writer = TableWriter(stream, args.format, CHI_COLUMNS)
-    writer.table(chi.chi_rows(q_min, q_max))
+    writer, rows = TableWriter(stream, args.format, CHI_COLUMNS), chi.chi_rows(q_min, q_max)
+    if args.format == "json":
+        writer.table(rows)
+        return EXIT_OK
+    # each CSV row is one f-string, the cells as TableWriter's CSV formats them
+    for batch in iter(lambda: list(itertools.islice(rows, ROWS_PER_WRITE)), []):
+        stream.write("".join([f"{q},{c},{lo!r},{hi!r},{('false', 'true')[i]},{k}\n"
+                              for q, c, lo, hi, i, k in batch]))
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ suffix one comprehension for each y and t. A form gives only its step, its
 column read and its join; fingerprints are read by columns, or by rows from
 a block with no more parts than |T|. A level below n is kept until the next
 is built. Level n has two routes: unsliced it streams one y at a time, each
-y's suffix grown alone; under a slice it is solved, as below.
+y's suffix grown alone up to s_max(T); under a slice it is solved, as below.
 
 The slice, a result of this package rather than of the paper: let t0 = min
 T, g = gcd(t0, q - 1), H the t0-th powers of the units, which are the g-th
@@ -149,7 +149,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         def col(block, t):  # s_t of every part, s_0 = 1 and s_t = 0 past the level
             return block[t::w]
 
-        def grow(block, starts):
+        def grow(block, starts, top=n):  # top, the list form's, is not read
             return b"".join([child(block, y, i) for y, i in starts])
 
         level = b"".join([bytes((1, x)) + bytes(n - 1) for x in range(1, q)])
@@ -168,9 +168,9 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         def col(s, t):  # s_t of every part, s_0 = 1 and s_t = 0 past the level
             return s[t] if 0 < t < len(s) else [int(t == 0)] * len(s[1])
 
-        def grow(s, starts):  # s holds s_1, ..., s_k, and the next level one more
+        def grow(s, starts, top=n):  # s holds s_1, ..., s_k, the next level one more up to top
             return [None, *[list(itertools.chain.from_iterable(
-                column(s, t, y, i) for y, i in starts)) for t in range(1, len(s) + 1)]]
+                column(s, t, y, i) for y, i in starts)) for t in range(1, min(len(s), top) + 1)]]
 
         level = [None, list(range(1, q))]
 
@@ -197,9 +197,10 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         yield itertools.compress(fps, map(in_cs, col(level, t0))) if 0 < t0 <= k else fps
     # level n computes the values of idx
     m = len(firsts)
-    if not cs:  # every child of every part, y ascending
+    if not cs:  # every child of every part, y ascending, with no column above max(T)
+        top = idx[-1] if idx else 0
         for y, i in spans(firsts):
-            yield fingerprints(grow(level, ((y, i),)), m - i)
+            yield fingerprints(grow(level, ((y, i),), top), m - i)
         return
     # under a slice: a part's child y has s'_t0 = e + y d, with e = s_t0 and
     # d = s_{t0-1}

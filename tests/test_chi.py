@@ -1,6 +1,8 @@
+import functools
 import math
 import random
 import time
+from collections import Counter
 
 import mpmath
 import pytest
@@ -151,9 +153,8 @@ def _exact_stirling_rest(q):
 
 
 def _gap_s_q(q):
-    # the s_q that the gap of q closes over
-    gap = chi._gap(q)
-    return gap.__closure__[gap.__code__.co_freevars.index("s_q")].cell_contents
+    # the s_q that the gap of q binds, the third argument of its _stirling_gap
+    return chi._gap(q).args[2]
 
 
 def test_stirling_rest_equals_exact_quotients_up_to_the_table_cap():
@@ -261,20 +262,29 @@ def test_bracket_gap_evaluations_per_q(monkeypatch):
 def test_sweep_gap_evaluations_per_q(monkeypatch):
     # from q = 337 on the extrapolated root lands in its cell for nearly every
     # q, and the row's two cell probes are its only gap evaluations; a cold
-    # secant takes four or more
-    gap = chi._gap
-    for lo, hi, mean in ((2, 10 ** 4, 2.75), (5001, 10 ** 4, 2.05)):
-        per_q = []
+    # secant takes four or more. The sweep probes a row's cell with
+    # _stirling_gap itself, and every other row evaluates a _gap callable:
+    # both are counted by q. A _gap partial binds _stirling_gap when it is
+    # built, so it binds the counted one, whose calls are not counted twice.
+    gap, stirling_gap = chi._gap, chi._stirling_gap
+    counts = Counter()
 
-        def recorded(q):
-            g, seen = _recording(gap(q))
-            per_q.append(seen)
+    def counted(q, *args):
+        counts[q] += 1
+        return stirling_gap(q, *args)
+
+    def recorded(q):
+        g = gap(q)
+        if isinstance(g, functools.partial) and g.func is counted:
             return g
-        monkeypatch.setattr(chi, "_gap", recorded)
+        return lambda x: counts.update((q,)) or g(x)
+    monkeypatch.setattr(chi, "_stirling_gap", counted)
+    monkeypatch.setattr(chi, "_gap", recorded)
+    for lo, hi, mean in ((2, 10 ** 4, 2.75), (5001, 10 ** 4, 2.05)):
+        counts.clear()
         chi.chi_table(lo, hi)
-        counts = [len(seen) for seen in per_q]
         assert len(counts) == hi - lo + 1
-        assert sum(counts) / len(counts) <= mean
+        assert sum(counts.values()) / len(counts) <= mean
 
 
 @pytest.mark.parametrize("lo, hi", [(2, 10 ** 4), (5001, 10 ** 4), (10 ** 4, 10 ** 4)])

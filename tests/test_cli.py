@@ -365,6 +365,20 @@ def test_chi_table_bytes_equal_per_record_rows(capsys, lo, hi):
         assert (rc, capsys.readouterr().out) == (0, "\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 10 ** 4), (2, 2), (60, 70)])
+def test_chi_table_csv_equals_the_writers_table(capsys, tmp_path, lo, hi):
+    # chi-table formats its CSV rows itself: byte for byte TableWriter's, on
+    # stdout and through --out; (2, 10^4) holds the one true row, q = 2, and
+    # (60, 70) crosses from the compensated sum to Stirling's series at q = 64
+    want = io.StringIO()
+    cli.TableWriter(want, "csv", cli.CHI_COLUMNS).table(chi.chi_rows(lo, hi))
+    argv = ["chi-table", "--q-min", str(lo), "--q-max", str(hi)]
+    assert (cli.main(argv), capsys.readouterr().out) == (0, want.getvalue())
+    target = tmp_path / "chi.csv"
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == want.getvalue().encode()
+
+
 def test_chi_table_verify_golden_ok(capsys):
     want = {"csv": f"{cli.SCHEMA_TAG}\n# verified=true q_min=2 q_max=120 count=119\n",
             "json": '{"verified": true, "q_min": 2, "q_max": 120, "count": 119}\n'}
