@@ -1,13 +1,13 @@
 """Command-line front end: compute, verify, and emit tables.
 
-Exit codes: 0 on success or a verified property, 1 on a verification
-failure (non-separating set, golden/table mismatch), 2 on usage or
-parameter errors, 3 when reading or writing a file fails, 4 when an
-internal check fails (a RuntimeError: a bug, not a verdict). When the reader
-of standard output closes it early (``sepsym orbits ... | head``) the
-command stops without a message and exits 141, the status a shell reports
-for a process stopped by SIGPIPE.
-Each command imports the sepsym modules it uses when it runs, and no other command's.
+Exit codes: 0 on success or a verified property, 1 on a verification failure
+(non-separating set, golden/table mismatch), 2 on usage or parameter errors,
+3 when reading or writing a file fails, 4 when an internal check fails (a
+RuntimeError: a bug, not a verdict). When the reader of standard output
+closes it early (``sepsym orbits ... | head``) the command stops without a
+message and exits 141, the status a shell reports for a process stopped by
+SIGPIPE. Each command imports the sepsym modules it uses when it runs, and
+no other command's; importlib.resources loads only for --verify-golden.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from sepsym import gf
@@ -145,6 +144,7 @@ def _join(seq) -> str:
 
 def _load_golden_ranges():
     """(q_lo, q_hi, chi) rows of the shipped golden table."""
+    from importlib import resources
     text = resources.files("sepsym").joinpath("data/chi_golden.csv").read_text()
     return [tuple(map(int, line.split(","))) for line in map(str.strip, text.splitlines())
             if line and not line.startswith(("#", "q_lo"))]

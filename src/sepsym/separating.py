@@ -16,12 +16,13 @@ is one bytes block, a row (1, s_1, ..., s_k, 0, ..., 0) of n + 1 bytes per
 part, and the children by y of a whole suffix are one step: read as an int
 a, a + (q a << 8) holds s_t + q s_{t-1} in byte t, never carrying since
 every byte is < q, and bytes.translate with _steps(spec)[y] maps it to
-s_t + y s_{t-1}. For q >= 17 a level is a list per value, s'_t of a whole
-suffix one comprehension for each y and t. A form gives only its step, its
-column read and its join; fingerprints are read by columns, or by rows from
-a block with no more parts than |T|. A level below n is kept until the next
-is built. Level n has two routes: unsliced it streams one y at a time, each
-y's suffix grown alone up to s_max(T); under a slice it is solved, as below.
+s_t + y s_{t-1}. For q >= 17 a level k is a list per value of s_1, ...,
+s_min(k, max T), as no fingerprint or later column reads s_t above max(T),
+s'_t of a whole suffix one comprehension for each y and t. A form gives only
+its step, its column read and its join; fingerprints are read by columns, or
+by rows from a block with no more parts than |T|. A level below n is kept
+until the next is built. Level n has two routes: unsliced it streams one y
+at a time, each y's suffix grown alone; under a slice it is solved, below.
 
 The slice, a result of this package rather than of the paper: let t0 = min
 T, g = gcd(t0, q - 1), H the t0-th powers of the units, which are the g-th
@@ -121,7 +122,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
     below n, then level n by its least entry y. The caller counts, and checks
     its inputs first (_gate).
     """
-    q, t0, w = spec.q, idx[0] if cs else 0, n + 1
+    q, t0, top, w = spec.q, idx[0] if cs else 0, idx[-1] if idx else 0, n + 1
     if n == 1:  # no product: s_1 is the orbit itself, and no table is built
         yield [(x,) * len(idx) for x in range(q) if not cs or x in cs]
         return
@@ -149,7 +150,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         def col(block, t):  # s_t of every part, s_0 = 1 and s_t = 0 past the level
             return block[t::w]
 
-        def grow(block, starts, top=n):  # top, the list form's, is not read
+        def grow(block, starts):
             return b"".join([child(block, y, i) for y, i in starts])
 
         level = b"".join([bytes((1, x)) + bytes(n - 1) for x in range(1, q)])
@@ -168,7 +169,7 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         def col(s, t):  # s_t of every part, s_0 = 1 and s_t = 0 past the level
             return s[t] if 0 < t < len(s) else [int(t == 0)] * len(s[1])
 
-        def grow(s, starts, top=n):  # s holds s_1, ..., s_k, the next level one more up to top
+        def grow(s, starts):  # s_1, ..., s_min(k, top) of level k to those of level k + 1
             return [None, *[list(itertools.chain.from_iterable(
                 column(s, t, y, i) for y, i in starts)) for t in range(1, min(len(s), top) + 1)]]
 
@@ -195,12 +196,10 @@ def _orbit_batches(spec: FieldSpec, n: int, idx: tuple[int, ...], cs=()
         fps = fingerprints(level, len(firsts))
         # for t0 > k, s_t0 = 0 is in cs
         yield itertools.compress(fps, map(in_cs, col(level, t0))) if 0 < t0 <= k else fps
-    # level n computes the values of idx
     m = len(firsts)
-    if not cs:  # every child of every part, y ascending, with no column above max(T)
-        top = idx[-1] if idx else 0
+    if not cs:  # level n: every child of every part, y ascending, each y's suffix alone
         for y, i in spans(firsts):
-            yield fingerprints(grow(level, ((y, i),), top), m - i)
+            yield fingerprints(grow(level, ((y, i),)), m - i)
         return
     # under a slice: a part's child y has s'_t0 = e + y d, with e = s_t0 and
     # d = s_{t0-1}

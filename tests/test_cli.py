@@ -143,6 +143,15 @@ def test_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def test_import_loads_no_resource_reader():
+    # importlib.resources is read only by --verify-golden, which imports it;
+    # -S, since a site hook may import it before sepsym does
+    code = "import sys, sepsym.cli; print('importlib.resources' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def _sepsym_modules(code):
     """The sepsym modules a fresh interpreter has loaded after running code."""
     code += "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'sepsym'))"

@@ -299,7 +299,8 @@ def test_step_tables_map_a_plus_q_b_to_a_plus_y_b(q):
 # t0 = 2 on list columns), the same at t0 = n ((7, 3) with t0 = 3), a slice
 # whose levels are read by rows up to level 14, then by columns ((3, 30)
 # with t0 = 1 and 15 indices), q = 16, whose step tables fill all 256 bytes
-# ((16, 5) with t0 = 2), and every index of a 40-long vector, read by rows.
+# ((16, 5) with t0 = 2), every index of a 40-long vector, read by rows, and
+# idx = (1,) on list columns, each level holding s_1 alone ((17, 5)).
 STREAM_CELLS = [(q, n) for q in TABLE_ORDERS for n in range(1, 41) if orbit_count(q, n) <= 2000]
 
 
@@ -313,6 +314,13 @@ class _EveryIndex(random.Random):
         return 0.0
 
 
+class _FirstIndex(_EveryIndex):
+    """Draws t0 = 1 and keeps no index after it."""
+
+    def random(self):
+        return 0.5
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(STREAM_CELLS), st.randoms(use_true_random=False))
 @example((7, 6), random.Random(1))
@@ -322,6 +330,7 @@ class _EveryIndex(random.Random):
 @example((16, 5), random.Random(3))
 @example((17, 3), random.Random(9))
 @example((2, 40), _EveryIndex())
+@example((17, 5), _FirstIndex())
 def test_sliced_stream_matches_naive_rows(cell, rng):
     # as a multiset, the stream for t0 = min idx is every orbit whose s_t0
     # lies in the slice set cs (every orbit when cs is empty), projected to idx
@@ -345,6 +354,23 @@ def test_the_empty_set_counts_every_orbit(q, n):
     v = check_separating(spec, n, ())
     assert (v.separating, v.witness, v.orbit_count, v.fingerprint_count) == \
         naive_check(spec, n, ())
+
+
+def test_list_levels_stop_at_max_T():
+    # on list columns a level holds s_1, ..., s_min(k, max T): with T = (1, 2)
+    # the walk over F_17 at n = 7 holds two columns per level, with (1, 2, 7)
+    # up to seven, and the peak of the check falls with them
+    spec = gf.field_for_order(17)
+    spec.tables  # built before the measurement, which is of the check alone
+    peaks = []
+    for T in ((1, 2), (1, 2, 7)):
+        tracemalloc.start()
+        try:
+            assert not check_separating(spec, 7, T).separating
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.7 * peaks[1]
 
 
 def test_the_witness_walk_stays_lazy():
@@ -414,11 +440,14 @@ EARLIER_COLLISIONS = [(3, 2, (1,)), (7, 4, (1, 2, 3)), (8, 3, (1, 2)), (16, 3, (
                       # long vectors, first colliding 37% and 52% of the way into the walk
                       (3, 14, (1, 2, 3, 5, 6, 7, 14)),
                       (2, 30, (1, 2, 4, 6, 8, 11, 13, 15, 17, 18, 20, 27, 29))]
+# list columns that stop at max(T) <= n - 3 from level 3 on, siblings first;
+# listed after the two lists above, whose cases keep their positional ids
+STOPPED_COLUMNS = [(19, 5, (2, 3), True), (17, 6, (1, 2), False)]
 
 
 @pytest.mark.parametrize("q,n,T,siblings",
                          [(*cell, True) for cell in SIBLING_COLLISIONS]
-                         + [(*cell, False) for cell in EARLIER_COLLISIONS])
+                         + [(*cell, False) for cell in EARLIER_COLLISIONS] + STOPPED_COLUMNS)
 def test_first_collision_matches_naive_oracle(q, n, T, siblings):
     spec = gf.field_for_order(q)
     v = check_separating(spec, n, T)
